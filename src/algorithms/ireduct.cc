@@ -55,19 +55,24 @@ Status ValidateIReductParams(const IReductParams& p) {
 
 // Lines 11-12 of Figure 4 for one group: correlated resample of each
 // answer down to the new scale (costs nothing beyond the new scale,
-// Theorem 1).
+// Theorem 1). Every query of the group takes the same step, so the
+// NoiseDown scale constants are built once for all of them.
 Status ResampleGroup(const Workload& workload, const QueryGroup& group,
                      NoiseReducer reducer, double old_scale, double new_scale,
                      std::span<double> answers, BitGen& gen) {
+  if (reducer == NoiseReducer::kPaperNoiseDown) {
+    IREDUCT_ASSIGN_OR_RETURN(NoiseDownStep step,
+                             NoiseDownStep::Create(old_scale, new_scale));
+    for (uint32_t i = group.begin; i < group.end; ++i) {
+      IREDUCT_ASSIGN_OR_RETURN(
+          answers[i], step.Sample(workload.true_answer(i), answers[i], gen));
+    }
+    return Status::OK();
+  }
   for (uint32_t i = group.begin; i < group.end; ++i) {
-    Result<double> reduced =
-        reducer == NoiseReducer::kPaperNoiseDown
-            ? NoiseDown(workload.true_answer(i), answers[i], old_scale,
-                        new_scale, gen)
-            : CoupledNoiseDown(workload.true_answer(i), answers[i],
-                               old_scale, new_scale, gen);
-    if (!reduced.ok()) return reduced.status();
-    answers[i] = *reduced;
+    IREDUCT_ASSIGN_OR_RETURN(
+        answers[i], CoupledNoiseDown(workload.true_answer(i), answers[i],
+                                     old_scale, new_scale, gen));
   }
   return Status::OK();
 }

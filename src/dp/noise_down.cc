@@ -22,59 +22,102 @@ double ExpIntegral(double s, double p, double q) {
 }
 }  // namespace
 
-Result<NoiseDownDistribution> NoiseDownDistribution::Create(
-    double mu, double y, double lambda, double lambda_prime) {
-  if (!std::isfinite(mu) || !std::isfinite(y)) {
-    return Status::InvalidArgument("NoiseDown requires finite mu and y");
-  }
+Result<NoiseDownStep> NoiseDownStep::Create(double lambda,
+                                            double lambda_prime) {
   if (!(lambda_prime > 0) || !std::isfinite(lambda_prime) ||
       !(lambda > lambda_prime) || !std::isfinite(lambda)) {
     return Status::InvalidArgument(
         "NoiseDown requires 0 < lambda_prime < lambda");
   }
+  return NoiseDownStep(lambda, lambda_prime);
+}
 
-  NoiseDownDistribution d;
-  d.lambda_ = lambda;
-  d.lambda_prime_ = lambda_prime;
-  // Figure 3, lines 1-3: reduce the mu > y case to mu <= y by negating both
-  // coordinates (f_{mu}(y'|y) = f_{-mu}(-y'|-y)).
-  d.inverted_ = mu > y;
-  d.mu_ = d.inverted_ ? -mu : mu;
-  d.y_ = d.inverted_ ? -y : y;
-  d.xi_ = std::fmin(d.mu_, d.y_ - 1);
-
-  const double a = 1.0 / lambda;         // 1/λ
-  const double ap = 1.0 / lambda_prime;  // 1/λ'
-  const double c1 = CoshMinusOne(ap);    // cosh(1/λ') - 1
-  const double cd = CoshDiff(ap, a);     // cosh(1/λ') - cosh(1/λ) > 0
-
-  // Equation 8: mass of (-∞, ξ].
-  d.theta1_ = lambda * cd * std::exp((ap + a) * (d.xi_ - d.mu_)) /
-              (2.0 * (lambda_prime + lambda) * c1);
-  // Equation 9 with the γ-consistent coefficient (the printed equation
-  // carries a spurious cosh(1/λ'); see the header notes): mass of
-  // (ξ, y-1]. The trailing factor vanishes exactly when ξ = y-1.
-  d.theta2_ = lambda * cd / (2.0 * (lambda - lambda_prime) * c1) *
-              (-std::expm1((ap - a) * (d.xi_ - d.y_ + 1)));
-  // Equation 10: mass of [y+1, ∞).
-  d.theta3_ = lambda * cd *
-              std::exp((d.mu_ - d.y_ - 1) * ap - (d.mu_ - d.y_ + 1) * a) /
-              (2.0 * (lambda_prime + lambda) * c1);
-  d.middle_ = d.MiddleMass();
-  d.normalization_ = d.theta1_ + d.theta2_ + d.theta3_ + d.middle_;
-  IREDUCT_DCHECK(d.normalization_ > 0);
-
+NoiseDownStep::NoiseDownStep(double lambda, double lambda_prime)
+    : lambda_(lambda), lambda_prime_(lambda_prime) {
+  a_ = 1.0 / lambda;
+  ap_ = 1.0 / lambda_prime;
+  c1_ = CoshMinusOne(ap_);
+  const double cd = CoshDiff(ap_, a_);  // cosh(1/λ') - cosh(1/λ) > 0
+  lambda_cd_ = lambda * cd;
+  log_cd_ = std::log(cd);
+  tail_rate_ = ap_ + a_;
+  tail_denom_ = 2.0 * (lambda_prime + lambda) * c1_;
+  tail_mean_ = 1.0 / tail_rate_;
+  mid_rate_ = ap_ - a_;
+  mid_mean_ = 1.0 / mid_rate_;
+  theta2_coef_ = lambda_cd_ / (2.0 * (lambda - lambda_prime) * c1_);
+  two_cosh_ = 2.0 * std::cosh(ap_);
+  ema_ = std::exp(-a_);
+  g_left_ = GIntegral(ap_, -1.0, 0.0);
+  g_far_ = g_left_ + GIntegral(ap_, 0.0, 1.0);
+  middle_denom_ = 4.0 * lambda_prime * c1_;
   // Equation 11 envelope over (y-1, y+1), in log form:
   //   φ = 1/(2λ') · (cosh(1/λ') - e^{-1/λ}) / (cosh(1/λ') - 1)
   //       · exp((y-μ)/λ - max{0, y-μ-1}/λ')
-  // with cosh(1/λ') - e^{-1/λ} = (cosh(1/λ') - 1) + (1 - e^{-1/λ}).
-  d.log_phi_ = -std::log(2.0 * lambda_prime) +
-               std::log(c1 - std::expm1(-a)) - std::log(c1) +
-               (d.y_ - d.mu_) * a - std::fmax(0.0, d.y_ - d.mu_ - 1) * ap;
-  return d;
+  // with cosh(1/λ') - e^{-1/λ} = (cosh(1/λ') - 1) + (1 - e^{-1/λ}). The
+  // (y-μ) terms are added per query in MakeQuery.
+  log_phi_prefix_ = -std::log(2.0 * lambda_prime) +
+                    std::log(c1_ - std::expm1(-a_)) - std::log(c1_);
+  // Equation 6 without γ's constant: the λ/λ' and 1/(4λ) prefactors
+  // combine to 1/(4·λ').
+  log_pdf_prefix_ = -std::log(4.0 * lambda_prime) - std::log(c1_);
 }
 
-double NoiseDownDistribution::MiddleMass() const {
+Result<NoiseDownDistribution> NoiseDownStep::Bind(double mu, double y) const {
+  if (!std::isfinite(mu) || !std::isfinite(y)) {
+    return Status::InvalidArgument("NoiseDown requires finite mu and y");
+  }
+  return NoiseDownDistribution(*this, MakeQuery(mu, y));
+}
+
+Result<double> NoiseDownStep::Sample(double mu, double y, BitGen& gen) const {
+  if (!std::isfinite(mu) || !std::isfinite(y)) {
+    return Status::InvalidArgument("NoiseDown requires finite mu and y");
+  }
+  return Draw(MakeQuery(mu, y), gen);
+}
+
+NoiseDownStep::Query NoiseDownStep::MakeQuery(double mu, double y) const {
+  Query q;
+  // Figure 3, lines 1-3: reduce the mu > y case to mu <= y by negating both
+  // coordinates (f_{mu}(y'|y) = f_{-mu}(-y'|-y)).
+  q.inverted = mu > y;
+  q.mu = q.inverted ? -mu : mu;
+  q.y = q.inverted ? -y : y;
+  q.xi = std::fmin(q.mu, q.y - 1);
+
+  // Equation 8: mass of (-∞, ξ].
+  const double theta1 =
+      lambda_cd_ * std::exp(tail_rate_ * (q.xi - q.mu)) / tail_denom_;
+  // Equation 9 with the γ-consistent coefficient (the printed equation
+  // carries a spurious cosh(1/λ'); see the header notes): mass of
+  // (ξ, y-1]. The trailing factor vanishes exactly when ξ = y-1.
+  const double theta2 =
+      theta2_coef_ * (-std::expm1(mid_rate_ * (q.xi - q.y + 1)));
+  // Equation 10: mass of [y+1, ∞).
+  const double theta3 =
+      lambda_cd_ *
+      std::exp((q.mu - q.y - 1) * ap_ - (q.mu - q.y + 1) * a_) / tail_denom_;
+  const double middle = MiddleMass(q.y - q.mu);
+  q.normalization = theta1 + theta2 + theta3 + middle;
+  IREDUCT_DCHECK(q.normalization > 0);
+  q.theta1 = theta1 / q.normalization;
+  q.theta2 = theta2 / q.normalization;
+  q.theta3 = theta3 / q.normalization;
+  q.middle = middle / q.normalization;
+
+  q.log_phi = log_phi_prefix_ + (q.y - q.mu) * a_ -
+              std::fmax(0.0, q.y - q.mu - 1) * ap_;
+  return q;
+}
+
+double NoiseDownStep::GIntegral(double s, double p, double q) const {
+  const double abs_rate = (p >= 0) ? -a_ : a_;  // e^{-|d|/λ} on this side
+  return two_cosh_ * ExpIntegral(s + abs_rate, p, q) -
+         ema_ * (ExpIntegral(s + a_, p, q) + ExpIntegral(s - a_, p, q));
+}
+
+double NoiseDownStep::MiddleMass(double w) const {
   // Mass of the unnormalized Equation 6 density over (y-1, y+1), in
   // canonical orientation. Substituting d = y - y' ∈ (-1, 1) and writing
   // w = y - μ ≥ 0:
@@ -82,112 +125,75 @@ double NoiseDownDistribution::MiddleMass() const {
   //   g(d) = 2·cosh(1/λ')·e^{-|d|/λ} - e^{-1/λ}·(e^{d/λ} + e^{-d/λ}),
   //   K = e^{w/λ} / (4·λ'·(cosh(1/λ')-1)) · ... (assembled below).
   // Each |·| resolves on fixed subintervals, so every piece is an
-  // elementary exponential integral.
-  const double a = 1.0 / lambda_;
-  const double ap = 1.0 / lambda_prime_;
-  const double c1 = CoshMinusOne(ap);
-  const double w = y_ - mu_;
-  const double two_cosh = 2.0 * std::cosh(ap);
-  const double ema = std::exp(-a);
-
-  // ∫ e^{s·d} g(d) dd over [p, q] with q <= 0 or p >= 0 (fixed sign of d).
-  auto g_integral = [&](double s, double p, double q) {
-    const double abs_rate = (p >= 0) ? -a : a;  // e^{-|d|/λ} on this side
-    return two_cosh * ExpIntegral(s + abs_rate, p, q) -
-           ema * (ExpIntegral(s + a, p, q) + ExpIntegral(s - a, p, q));
-  };
-
+  // elementary exponential integral (GIntegral); the w-free ones are the
+  // step's g_left_ and g_far_.
+  //
   // The e^{w/λ} prefactor of Equation 6 is folded into the per-zone
   // weights so that w·(1/λ' - 1/λ) never overflows separately (the
   // combined exponents are all bounded above by w·(1/λ - 1/λ') <= 0 plus
   // an O(1/λ') term).
+  const double near = std::exp(w * (a_ - ap_));
   double total;
   if (w >= 1.0) {
     // w - d > 0 throughout: weight e^{-(w-d)/λ'} = e^{-w/λ'} e^{d/λ'}.
-    total = std::exp(w * (a - ap)) *
-            (g_integral(ap, -1.0, 0.0) + g_integral(ap, 0.0, 1.0));
+    total = near * g_far_;
   } else {
     // Split at d = w where |w - d| flips (w ∈ [0, 1)).
-    total = std::exp(w * (a - ap)) * g_integral(ap, -1.0, 0.0);
-    if (w > 0) total += std::exp(w * (a - ap)) * g_integral(ap, 0.0, w);
-    total += std::exp(w * (a + ap)) * g_integral(-ap, w, 1.0);
+    total = near * g_left_;
+    if (w > 0) total += near * GIntegral(ap_, 0.0, w);
+    total += std::exp(w * (a_ + ap_)) * GIntegral(-ap_, w, 1.0);
   }
   // Remaining prefactor of Equation 6: (λ/λ')·(1/(4λ))·(1/c1).
-  return total / (4.0 * lambda_prime_ * c1);
+  return total / middle_denom_;
 }
 
-double NoiseDownDistribution::mu() const { return inverted_ ? -mu_ : mu_; }
-double NoiseDownDistribution::y() const { return inverted_ ? -y_ : y_; }
-
-double NoiseDownDistribution::phi() const { return std::exp(log_phi_); }
-
-double NoiseDownDistribution::CanonicalLogPdf(double y_prime) const {
-  const double a = 1.0 / lambda_;
-  const double ap = 1.0 / lambda_prime_;
-  const double c1 = CoshMinusOne(ap);
-  const double ad = std::fabs(y_ - y_prime);
+double NoiseDownStep::CanonicalLogPdf(const Query& q, double y_prime) const {
+  const double ad = std::fabs(q.y - y_prime);
 
   // log of the bracketed term of γ (Equation 7):
   //   2·cosh(1/λ')·e^{-|d|/λ} - e^{-|d-1|/λ} - e^{-|d+1|/λ},  d = y - y'.
   double log_term;
   if (ad >= 1) {
     // Simplifies to 2·e^{-|d|/λ}·(cosh(1/λ') - cosh(1/λ)).
-    log_term = std::log(2.0) - ad * a + std::log(CoshDiff(ap, a));
+    log_term = std::log(2.0) - ad * a_ + log_cd_;
   } else {
     // Equals 2·e^{-|d|/λ}·B with
     //   B = (cosh(1/λ')-1) - e^{(|d|-1)/λ}·(cosh(d/λ)-1) - expm1((|d|-1)/λ),
     // every addend individually small-argument safe and B > 0.
-    const double bracket = c1 -
-                           std::exp((ad - 1) * a) * CoshMinusOne(ad * a) -
-                           std::expm1((ad - 1) * a);
+    const double bracket = c1_ -
+                           std::exp((ad - 1) * a_) * CoshMinusOne(ad * a_) -
+                           std::expm1((ad - 1) * a_);
     if (!(bracket > 0)) return -kInf;
-    log_term = std::log(2.0) - ad * a + std::log(bracket);
+    log_term = std::log(2.0) - ad * a_ + std::log(bracket);
   }
-
-  // Equation 6 without γ's constant, assembled in log space. The λ/λ' and
-  // 1/(4λ) prefactors combine to 1/(4·λ').
-  return -std::log(4.0 * lambda_prime_) - std::log(c1) -
-         std::fabs(y_prime - mu_) * ap + std::fabs(y_ - mu_) * a + log_term;
+  return log_pdf_prefix_ - std::fabs(y_prime - q.mu) * ap_ +
+         std::fabs(q.y - q.mu) * a_ + log_term;
 }
 
-double NoiseDownDistribution::LogPdf(double y_prime) const {
-  return CanonicalLogPdf(inverted_ ? -y_prime : y_prime) -
-         std::log(normalization_);
-}
-
-double NoiseDownDistribution::Pdf(double y_prime) const {
-  return std::exp(LogPdf(y_prime));
-}
-
-double NoiseDownDistribution::Sample(BitGen& gen) const {
+double NoiseDownStep::Draw(const Query& q, BitGen& gen) const {
   IREDUCT_METRIC_COUNT("noise_down.samples", 1);
-  const double a = 1.0 / lambda_;
-  const double ap = 1.0 / lambda_prime_;
   // Branch thresholds are the exact normalized segment masses.
-  const double t1 = theta1_ / normalization_;
-  const double t2 = theta2_ / normalization_;
-  const double t3 = theta3_ / normalization_;
   const double u = gen.Uniform();
 
   double yp;
-  if (u < t1) {
+  if (u < q.theta1) {
     // Left tail (-∞, ξ]: density ∝ exp(y'·(1/λ' + 1/λ)).
-    yp = xi_ - gen.Exponential(1.0 / (ap + a));
-  } else if (u < t1 + t2) {
+    yp = q.xi - gen.Exponential(tail_mean_);
+  } else if (u < q.theta1 + q.theta2) {
     // Middle-left (ξ, y-1]: density ∝ exp(-y'·(1/λ' - 1/λ)).
-    const double width = (y_ - 1) - xi_;
+    const double width = (q.y - 1) - q.xi;
     IREDUCT_DCHECK(width > 0);
-    yp = xi_ + gen.TruncatedExponential(1.0 / (ap - a), 0.0, width);
-  } else if (u > 1.0 - t3) {
+    yp = q.xi + gen.TruncatedExponential(mid_mean_, 0.0, width);
+  } else if (u > 1.0 - q.theta3) {
     // Right tail [y+1, ∞): density ∝ exp(-y'·(1/λ' + 1/λ)).
-    yp = y_ + 1 + gen.Exponential(1.0 / (ap + a));
+    yp = q.y + 1 + gen.Exponential(tail_mean_);
   } else {
     // Central interval (y-1, y+1): rejection under the constant envelope φ
     // (Proposition 4 guarantees raw f < φ there).
     int rounds = 0;
     for (;;) {
-      yp = gen.Uniform(y_ - 1, y_ + 1);
-      const double log_accept = CanonicalLogPdf(yp) - log_phi_;
+      yp = gen.Uniform(q.y - 1, q.y + 1);
+      const double log_accept = CanonicalLogPdf(q, yp) - q.log_phi;
       if (std::log(gen.UniformPositive()) <= log_accept) break;
       IREDUCT_CHECK(++rounds < kMaxRejectionRounds);
     }
@@ -198,15 +204,36 @@ double NoiseDownDistribution::Sample(BitGen& gen) const {
     IREDUCT_METRIC_COUNT("noise_down.envelope_draws",
                          static_cast<uint64_t>(rounds) + 1);
   }
-  return inverted_ ? -yp : yp;
+  return q.inverted ? -yp : yp;
+}
+
+Result<NoiseDownDistribution> NoiseDownDistribution::Create(
+    double mu, double y, double lambda, double lambda_prime) {
+  IREDUCT_ASSIGN_OR_RETURN(NoiseDownStep step,
+                           NoiseDownStep::Create(lambda, lambda_prime));
+  return step.Bind(mu, y);
+}
+
+double NoiseDownDistribution::phi() const { return std::exp(q_.log_phi); }
+
+double NoiseDownDistribution::LogPdf(double y_prime) const {
+  return step_.CanonicalLogPdf(q_, q_.inverted ? -y_prime : y_prime) -
+         std::log(q_.normalization);
+}
+
+double NoiseDownDistribution::Pdf(double y_prime) const {
+  return std::exp(LogPdf(y_prime));
+}
+
+double NoiseDownDistribution::Sample(BitGen& gen) const {
+  return step_.Draw(q_, gen);
 }
 
 Result<double> NoiseDown(double mu, double y, double lambda,
                          double lambda_prime, BitGen& gen) {
-  IREDUCT_ASSIGN_OR_RETURN(
-      NoiseDownDistribution dist,
-      NoiseDownDistribution::Create(mu, y, lambda, lambda_prime));
-  return dist.Sample(gen);
+  IREDUCT_ASSIGN_OR_RETURN(NoiseDownStep step,
+                           NoiseDownStep::Create(lambda, lambda_prime));
+  return step.Sample(mu, y, gen);
 }
 
 Result<double> NoiseDownWithStep(double mu, double y, double lambda,

@@ -57,6 +57,90 @@
 
 namespace ireduct {
 
+class NoiseDownDistribution;
+
+/// The (λ, λ')-only half of NoiseDown. In iReduct every query of a group
+/// takes the same λ → λ' step, so the constants that depend on the scales
+/// alone — cosh(1/λ')-1, cosh(1/λ')-cosh(1/λ), the tail rates, the
+/// envelope's log prefix and the far-zone integral of the middle mass —
+/// are computed once here and shared by every query bound to the step.
+/// Every constant is kept as the exact IEEE subexpression the per-query
+/// formulas use (never refactored algebraically), so sharing one step
+/// across a group gives the same bits, and the same RNG consumption, as
+/// a fresh step per query.
+class NoiseDownStep {
+ public:
+  /// Requires 0 < lambda_prime < lambda, both finite.
+  static Result<NoiseDownStep> Create(double lambda, double lambda_prime);
+
+  /// The conditional distribution of Y' given Y = `y` for a query with
+  /// true answer `mu` (both finite) under this step.
+  Result<NoiseDownDistribution> Bind(double mu, double y) const;
+
+  /// One draw of NoiseDown(mu, y, λ, λ') (Figure 3); the same value and
+  /// RNG consumption as Bind(mu, y)->Sample(gen).
+  Result<double> Sample(double mu, double y, BitGen& gen) const;
+
+  double lambda() const { return lambda_; }
+  double lambda_prime() const { return lambda_prime_; }
+
+ private:
+  friend class NoiseDownDistribution;
+
+  // Everything that depends on (μ, y), in canonical (μ ≤ y) orientation.
+  struct Query {
+    double mu = 0;
+    double y = 0;
+    bool inverted = false;  // true when the caller's mu > y
+    double xi = 0;
+    double theta1 = 0;  // normalized segment masses
+    double theta2 = 0;
+    double theta3 = 0;
+    double middle = 0;
+    double normalization = 1;  // mass of the unnormalized density
+    double log_phi = 0;
+  };
+
+  NoiseDownStep(double lambda, double lambda_prime);
+
+  // Requires finite mu and y.
+  Query MakeQuery(double mu, double y) const;
+
+  // ∫ e^{s·d} g(d) dd over [p, q] with q <= 0 or p >= 0 (see MiddleMass).
+  double GIntegral(double s, double p, double q) const;
+
+  // Closed-form mass of the unnormalized density over (y-1, y+1), for
+  // w = y - μ ≥ 0.
+  double MiddleMass(double w) const;
+
+  // Log of the unnormalized Equation 6 density in canonical orientation
+  // (y_prime already negated if q.inverted).
+  double CanonicalLogPdf(const Query& q, double y_prime) const;
+
+  double Draw(const Query& q, BitGen& gen) const;
+
+  double lambda_;
+  double lambda_prime_;
+  double a_;                // 1/λ
+  double ap_;               // 1/λ'
+  double c1_;               // cosh(1/λ') - 1
+  double lambda_cd_;        // λ·(cosh(1/λ') - cosh(1/λ))
+  double log_cd_;           // log(cosh(1/λ') - cosh(1/λ))
+  double tail_rate_;        // 1/λ' + 1/λ
+  double tail_denom_;       // 2(λ'+λ)·c1, Equations 8 and 10
+  double tail_mean_;        // 1/(1/λ' + 1/λ)
+  double mid_rate_;         // 1/λ' - 1/λ
+  double mid_mean_;         // 1/(1/λ' - 1/λ)
+  double theta2_coef_;      // Equation 9's coefficient
+  double two_cosh_;         // 2·cosh(1/λ')
+  double ema_;              // e^{-1/λ}
+  double g_left_;           // GIntegral(1/λ', -1, 0)
+  double g_far_;            // g_left_ + GIntegral(1/λ', 0, 1)
+  double middle_denom_;     // 4λ'·c1
+  double log_phi_prefix_;   // log φ without its (y-μ) terms
+  double log_pdf_prefix_;   // -log(4λ') - log(c1)
+};
+
 /// The conditional distribution of the reduced-noise answer Y' given the
 /// previous noisy answer Y = y (Definition 5), normalized exactly, with
 /// full access to its density, segment masses and rejection envelope.
@@ -65,6 +149,7 @@ class NoiseDownDistribution {
   /// Parameters: `mu` is the true query answer q(T), `y` the previously
   /// published noisy answer, `lambda` its noise scale, and `lambda_prime`
   /// the reduced target scale. Requires 0 < lambda_prime < lambda.
+  /// Equivalent to NoiseDownStep::Create(lambda, lambda_prime)->Bind(mu, y).
   static Result<NoiseDownDistribution> Create(double mu, double y,
                                               double lambda,
                                               double lambda_prime);
@@ -77,55 +162,40 @@ class NoiseDownDistribution {
 
   /// Mass of the left tail (-∞, ξ] (Equation 8, normalized), in canonical
   /// (μ ≤ y) orientation.
-  double theta1() const { return theta1_ / normalization_; }
+  double theta1() const { return q_.theta1; }
   /// Mass of (ξ, y-1] (Equation 9 with the γ-consistent coefficient,
   /// normalized); zero when ξ = y-1.
-  double theta2() const { return theta2_ / normalization_; }
+  double theta2() const { return q_.theta2; }
   /// Mass of the right tail [y+1, ∞) (Equation 10, normalized).
-  double theta3() const { return theta3_ / normalization_; }
+  double theta3() const { return q_.theta3; }
   /// Mass of the central interval (y-1, y+1), in closed form.
-  double middle_mass() const { return middle_ / normalization_; }
+  double middle_mass() const { return q_.middle; }
   /// Total mass of the *unnormalized* Equation 6 density; equals
   /// 1 + O(1/λ'²) (see the reproduction notes above).
-  double normalization() const { return normalization_; }
+  double normalization() const { return q_.normalization; }
   /// Rejection envelope over the middle interval (Equation 11), for the
   /// unnormalized density (Proposition 4: raw f < φ there).
   double phi() const;
   /// ξ = min{μ, y-1} in canonical orientation.
-  double xi() const { return xi_; }
+  double xi() const { return q_.xi; }
 
   /// Draws one sample (Figure 3).
   double Sample(BitGen& gen) const;
 
-  double mu() const;
-  double y() const;
-  double lambda() const { return lambda_; }
-  double lambda_prime() const { return lambda_prime_; }
+  double mu() const { return q_.inverted ? -q_.mu : q_.mu; }
+  double y() const { return q_.inverted ? -q_.y : q_.y; }
+  double lambda() const { return step_.lambda(); }
+  double lambda_prime() const { return step_.lambda_prime(); }
 
  private:
-  NoiseDownDistribution() = default;
+  friend class NoiseDownStep;
 
-  // Log of the unnormalized Equation 6 density in canonical orientation
-  // (inputs already negated if inverted_).
-  double CanonicalLogPdf(double y_prime) const;
+  NoiseDownDistribution(const NoiseDownStep& step,
+                        const NoiseDownStep::Query& q)
+      : step_(step), q_(q) {}
 
-  // Closed-form mass of the unnormalized density over (y-1, y+1).
-  double MiddleMass() const;
-
-  // Canonical parameters satisfying mu_ <= y_.
-  double mu_ = 0;
-  double y_ = 0;
-  double lambda_ = 0;
-  double lambda_prime_ = 0;
-  bool inverted_ = false;  // true when the caller's mu > y
-
-  double xi_ = 0;
-  double theta1_ = 0;  // unnormalized segment masses
-  double theta2_ = 0;
-  double theta3_ = 0;
-  double middle_ = 0;
-  double normalization_ = 1;
-  double log_phi_ = 0;
+  NoiseDownStep step_;
+  NoiseDownStep::Query q_;
 };
 
 /// The NoiseDown(μ, y, λ, λ') primitive of Figure 3: resamples a noisy

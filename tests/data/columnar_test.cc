@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -12,6 +11,7 @@
 #include "common/random.h"
 #include "data/census_generator.h"
 #include "data/csv.h"
+#include "../test_dir.h"
 
 namespace ireduct {
 namespace {
@@ -27,15 +27,8 @@ using columnar_internal::RleMaxEncoded;
 
 class ColumnarTest : public testing::Test {
  protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_columnar_test.col";
-  }
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".b").c_str());
-  }
-
-  std::string path_;
+  CaseTempDir dir_;
+  const std::string path_ = dir_.File("ireduct_columnar_test.col");
 };
 
 // A dataset with every pack-width regime the format cares about: 1-bit,
@@ -269,10 +262,9 @@ TEST_F(ColumnarTest, CsvColumnarCsvIsByteIdentical) {
   ASSERT_TRUE(WriteColumnar(d, path_).ok());
   auto back = ReadColumnar(path_);
   ASSERT_TRUE(back.ok());
-  const std::string csv_b = testing::TempDir() + "/ireduct_columnar_rt.csv";
+  const std::string csv_b = dir_.File("ireduct_columnar_rt.csv");
   ASSERT_TRUE(WriteCsv(*back, csv_b).ok());
   EXPECT_EQ(Slurp(csv_a), Slurp(csv_b));
-  std::remove(csv_b.c_str());
 }
 
 TEST_F(ColumnarTest, FingerprintIsStableAcrossBackingStores) {

@@ -3,21 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "../test_dir.h"
 
 namespace ireduct {
 namespace {
 
 class CsvTest : public testing::Test {
  protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_csv_test.csv";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::string path_;
+  CaseTempDir dir_;
+  const std::string path_ = dir_.File("ireduct_csv_test.csv");
 };
 
 Schema MakeSchema() {

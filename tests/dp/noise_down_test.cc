@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/numeric.h"
@@ -318,6 +320,89 @@ TEST(NoiseDownTest, WithStepPreservesLaplaceMarginal) {
   const double ks = KsStatistic(
       sample, [&](double x) { return LaplaceCdf(x, mu, lp); });
   EXPECT_LT(ks, 1.63 / std::sqrt(n));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(NoiseDownStepTest, SharedStepMatchesPerDrawCreateBitForBit) {
+  // One step shared across many (μ, y) must reproduce, bit for bit, a
+  // fresh Create per draw: every query-dependent quantity, the density,
+  // and the sample stream with its RNG consumption. The offsets cover
+  // both orientations, ξ = μ (|y-μ| ≥ 1) and ξ = y-1 (|y-μ| < 1), and
+  // w = |y-μ| on either side of 1.
+  const double kScales[][2] = {
+      {3.0, 2.5}, {30.0, 29.8}, {2e4, 2e4 - 2e4 / 150}};
+  const double mu = 5.0;
+  uint64_t seed = 100;
+  for (const auto& scale : kScales) {
+    const double lambda = scale[0], lp = scale[1];
+    auto step = NoiseDownStep::Create(lambda, lp);
+    ASSERT_TRUE(step.ok());
+    EXPECT_EQ(step->lambda(), lambda);
+    EXPECT_EQ(step->lambda_prime(), lp);
+    for (double w : {-2 * lambda, -7.0, -1.001, -1.0, -0.4, 0.0, 0.4, 0.999,
+                     1.0, 1.001, 7.0, 2 * lambda}) {
+      const double y = mu + w;
+      SCOPED_TRACE(testing::Message() << "lambda=" << lambda << " w=" << w);
+      auto bound = step->Bind(mu, y);
+      auto fresh = NoiseDownDistribution::Create(mu, y, lambda, lp);
+      ASSERT_TRUE(bound.ok());
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_TRUE(SameBits(bound->xi(), fresh->xi()));
+      EXPECT_TRUE(SameBits(bound->theta1(), fresh->theta1()));
+      EXPECT_TRUE(SameBits(bound->theta2(), fresh->theta2()));
+      EXPECT_TRUE(SameBits(bound->theta3(), fresh->theta3()));
+      EXPECT_TRUE(SameBits(bound->middle_mass(), fresh->middle_mass()));
+      EXPECT_TRUE(SameBits(bound->normalization(), fresh->normalization()));
+      EXPECT_TRUE(SameBits(bound->phi(), fresh->phi()));
+      for (double d : {-3.0, -1.0, -0.5, 0.0, 0.7, 1.0, 4.0}) {
+        EXPECT_TRUE(SameBits(bound->LogPdf(y + d), fresh->LogPdf(y + d)));
+        EXPECT_TRUE(SameBits(bound->LogPdf(mu + d), fresh->LogPdf(mu + d)));
+      }
+
+      BitGen shared_gen(seed), fresh_gen(seed);
+      ++seed;
+      for (int k = 0; k < 200; ++k) {
+        auto a = step->Sample(mu, y, shared_gen);
+        auto b = NoiseDownDistribution::Create(mu, y, lambda, lp);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        ASSERT_TRUE(SameBits(*a, b->Sample(fresh_gen))) << "draw " << k;
+      }
+      EXPECT_EQ(shared_gen(), fresh_gen());
+    }
+  }
+}
+
+TEST(NoiseDownStepTest, RejectsWhatCreateRejects) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  const double kBadScales[][2] = {{1.0, 1.0}, {1.0, 2.0}, {1.0, 0.0},
+                                  {1.0, -1.0}, {inf, 1.0}, {2.0, nan},
+                                  {nan, 1.0}};
+  for (const auto& s : kBadScales) {
+    EXPECT_EQ(NoiseDownStep::Create(s[0], s[1]).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(NoiseDownDistribution::Create(0, 1, s[0], s[1]).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  auto step = NoiseDownStep::Create(2.0, 1.0);
+  ASSERT_TRUE(step.ok());
+  const double kBadPoints[][2] = {{nan, 1.0}, {0.0, nan}, {inf, 1.0},
+                                  {0.0, -inf}};
+  for (const auto& p : kBadPoints) {
+    BitGen gen(9), untouched(9);
+    EXPECT_EQ(step->Bind(p[0], p[1]).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(step->Sample(p[0], p[1], gen).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(NoiseDown(p[0], p[1], 2.0, 1.0, gen).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(gen(), untouched());  // a refused draw consumes no randomness
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // bar — any divergence is a real bug, not rounding.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -16,18 +15,15 @@
 #include "marginals/marginal.h"
 #include "marginals/marginal_evaluator.h"
 #include "marginals/marginal_set.h"
+#include "../test_dir.h"
 
 namespace ireduct {
 namespace {
 
 class StreamingEvaluatorTest : public testing::Test {
  protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_streaming_test.col";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::string path_;
+  CaseTempDir dir_;
+  const std::string path_ = dir_.File("ireduct_streaming_test.col");
 };
 
 Dataset MakeCensus(uint64_t seed, uint64_t rows = 9'000) {
