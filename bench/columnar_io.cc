@@ -43,11 +43,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/census_generator.h"
@@ -61,37 +61,6 @@
 namespace {
 
 using namespace ireduct;
-
-std::vector<int> IntList(const char* name, std::vector<int> fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  std::vector<int> values;
-  std::stringstream ss{std::string(env)};
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const long long v = std::atoll(tok.c_str());
-    if (v > 0) values.push_back(static_cast<int>(v));
-  }
-  return values.empty() ? fallback : values;
-}
-
-// Gate knobs with "0 disables" semantics — an explicit 0 must not fall
-// back to the default.
-double EnvGate(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || parsed < 0) return fallback;
-  return parsed;
-}
-
-uint64_t EnvRows(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long long v = std::atoll(env);
-  return v > 0 ? static_cast<uint64_t>(v) : fallback;
-}
 
 double Seconds(const std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -186,7 +155,8 @@ bool RunLoadSection(obs::JsonWriter& writer, TempDir& tmp,
 
   const double speedup =
       zc_t.best_seconds > 0 ? csv_t.best_seconds / zc_t.best_seconds : 0.0;
-  const double min_speedup = EnvGate("COLUMNAR_MIN_LOAD_SPEEDUP", 5);
+  const double min_speedup =
+      EnvNonNegativeDouble("COLUMNAR_MIN_LOAD_SPEEDUP", 5);
   const bool ok = min_speedup <= 0 || speedup >= min_speedup;
 
   writer.Key("load");
@@ -262,9 +232,9 @@ StreamResult RunStreamingSection(obs::JsonWriter& writer, TempDir& tmp,
   }
 
   const std::vector<int> thread_list =
-      IntList("COLUMNAR_THREADS", {1, 2, 8});
+      EnvIntList("COLUMNAR_THREADS", {1, 2, 8});
   const std::vector<int> block_list =
-      IntList("COLUMNAR_BLOCK_ROWS", {16'384, 65'536});
+      EnvIntList("COLUMNAR_BLOCK_ROWS", {16'384, 65'536});
   const int trials = std::max(1, bench::Trials());
 
   // One zero-copy and one packed file per block size: block geometry is a
@@ -355,7 +325,8 @@ StreamResult RunStreamingSection(obs::JsonWriter& writer, TempDir& tmp,
   }
   writer.EndArray();
 
-  const double max_ratio = EnvGate("COLUMNAR_MAX_STREAM_RATIO", 1.25);
+  const double max_ratio =
+      EnvNonNegativeDouble("COLUMNAR_MAX_STREAM_RATIO", 1.25);
   result.ratio_ok =
       max_ratio <= 0 || (best_zc_ratio >= 0 && best_zc_ratio <= max_ratio);
   writer.Key("best_zero_copy_stream_ratio");
@@ -376,7 +347,7 @@ StreamResult RunStreamingSection(obs::JsonWriter& writer, TempDir& tmp,
 }
 
 void RunProfileSection(obs::JsonWriter& writer, TempDir& tmp) {
-  const uint64_t rows = EnvRows("COLUMNAR_PROFILE_ROWS", 200'000);
+  const uint64_t rows = EnvInt64("COLUMNAR_PROFILE_ROWS", 200'000);
   TablePrinter table({"profile", "csv_bytes", "packed_bytes", "zc_bytes",
                       "csv_s", "packed_s", "zc_s"});
   writer.Key("profiles");

@@ -32,7 +32,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,31 +51,6 @@
 namespace {
 
 using namespace ireduct;
-
-std::vector<int> IntList(const char* name, std::vector<int> fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  std::vector<int> values;
-  std::stringstream ss{std::string(env)};
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const long long v = std::atoll(tok.c_str());
-    if (v > 0) values.push_back(static_cast<int>(v));
-  }
-  return values.empty() ? fallback : values;
-}
-
-// EVAL_MIN_SPEEDUP with "0 disables" semantics — EnvInt64 treats
-// non-positive values as unset, which would turn an explicit 0 back into
-// the default gate.
-double MinSpeedup() {
-  const char* env = std::getenv("EVAL_MIN_SPEEDUP");
-  if (env == nullptr || *env == '\0') return 3;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || parsed < 0) return 3;
-  return parsed;
-}
 
 double Seconds(const std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -116,7 +90,7 @@ bool RunFusedSection(obs::JsonWriter& writer) {
       {"rows", "arity", "threads", "naive_s", "fused_s", "speedup"});
   writer.Key("fused_vs_naive");
   writer.BeginArray();
-  for (const int rows : IntList("EVAL_ROWS", {50'000, 200'000})) {
+  for (const int rows : EnvIntList("EVAL_ROWS", {50'000, 200'000})) {
     CensusConfig config;
     config.rows = static_cast<uint64_t>(rows);
     config.seed = 2011;
@@ -131,7 +105,7 @@ bool RunFusedSection(obs::JsonWriter& writer) {
       auto evaluator =
           MarginalSetEvaluator::Create(dataset->schema(), *specs);
       IREDUCT_CHECK(evaluator.ok());
-      for (const int threads : IntList("EVAL_THREADS", {1, 2, 8})) {
+      for (const int threads : EnvIntList("EVAL_THREADS", {1, 2, 8})) {
         ThreadPool pool(threads);
         const auto fused_start = std::chrono::steady_clock::now();
         auto fused =
@@ -224,7 +198,7 @@ bool RunEndToEndSection(obs::JsonWriter& writer) {
   IREDUCT_CHECK(engine_tables == naive_tables);
 
   const double speedup = engine_s > 0 ? naive_s / engine_s : 0.0;
-  const double min_speedup = MinSpeedup();
+  const double min_speedup = EnvNonNegativeDouble("EVAL_MIN_SPEEDUP", 3);
   const bool ok = min_speedup <= 0 || speedup >= min_speedup;
 
   writer.Key("fig08_09_end_to_end");

@@ -77,13 +77,13 @@ void BM_BatchLaplaceScalarRef(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchLaplaceScalarRef)->Arg(1024)->Arg(65536);
 
-// Per-shard counting on a Zipf-skewed 2-attribute census column pair —
-// the exact shape of the fused evaluator's inner loop. Three rungs:
+// Per-shard counting on Zipf-skewed 100k-row census columns — the exact
+// shape of the fused evaluator's inner loop. The gated 2-way rungs:
 //
-//   BM_CountPlanKernel        dispatched kernel (lane-striped increments,
-//                             vector index computation on AVX2)
-//   BM_CountPlanScalarRef     the same kernel algorithm pinned to the
-//                             scalar tier (the bit-parity reference)
+//   BM_CountPlanKernel        dispatched CountPlanN (lane-striped
+//                             increments, vector index computation on AVX2)
+//   BM_CountPlanScalarRef     CountPlanN's pinned scalar reference (the
+//                             bit-parity reference)
 //   BM_CountPlanReferenceLoop Marginal::Compute on the same spec — the
 //                             per-marginal reference counting path that
 //                             eval_scaling's naive section times
@@ -94,77 +94,86 @@ BENCHMARK(BM_BatchLaplaceScalarRef)->Arg(1024)->Arg(65536);
 // store-to-load increment chains never stall to begin with); the bulk of
 // the win over the reference comes from u32 tables, pre-resolved strides,
 // and raw column pointers, which every tier of the kernel shares.
-void BM_CountPlanKernel(benchmark::State& state) {
+//
+// BM_CountPlanNKernel / BM_CountPlanNScalarRef are the same pair on a
+// 3-way marginal (release-scan's shape); informational, not gated.
+const Dataset& CountingCensus() {
   static const Dataset* dataset = [] {
     CensusConfig c;
     c.rows = 100'000;
     return new Dataset(std::move(*GenerateCensus(c)));
   }();
-  const size_t n = dataset->num_rows();
-  const uint32_t d0 = dataset->schema().attribute(kOccupation).domain_size;
-  const uint32_t d1 = dataset->schema().attribute(kEducation).domain_size;
-  const size_t cells = static_cast<size_t>(d0) * d1;
+  return *dataset;
+}
+
+// Times `kernel` counting all census rows into the row-major table over
+// `attrs`, with lane scratch when `striped`.
+void RunCountPlan(benchmark::State& state,
+                  void (*kernel)(const simd::CountPlanNArgs&),
+                  const std::vector<size_t>& attrs, bool striped) {
+  const Dataset& dataset = CountingCensus();
+  const size_t n = dataset.num_rows();
+  std::vector<const uint16_t*> cols;
+  std::vector<size_t> strides(attrs.size());
+  size_t cells = 1;
+  for (size_t k = attrs.size(); k-- > 0;) {
+    strides[k] = cells;
+    cells *= dataset.schema().attribute(attrs[k]).domain_size;
+  }
+  for (const size_t attr : attrs) cols.push_back(dataset.column(attr).data());
   std::vector<uint32_t> counts(cells);
-  std::vector<uint32_t> scratch(simd::kBatchLanes * cells);
-  simd::CountPlanArgs args;
-  args.col0 = dataset->column(kOccupation).data();
-  args.col1 = dataset->column(kEducation).data();
+  std::vector<uint32_t> scratch(striped ? simd::kBatchLanes * cells : 0);
+  simd::CountPlanNArgs args;
+  args.cols = cols.data();
+  args.strides = strides.data();
+  args.arity = attrs.size();
   args.begin = 0;
   args.end = n;
-  args.stride0 = d1;
   args.counts = counts.data();
   args.cells = cells;
-  args.lane_scratch = scratch.data();
+  args.lane_scratch = striped ? scratch.data() : nullptr;
   for (auto _ : state) {
     std::fill(counts.begin(), counts.end(), 0);
-    simd::CountPlan(args);
+    kernel(args);
     benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_CountPlanKernel(benchmark::State& state) {
+  RunCountPlan(state, simd::CountPlanN, {kOccupation, kEducation}, true);
   state.SetLabel(simd::TierName(simd::ActiveTier()));
 }
 BENCHMARK(BM_CountPlanKernel);
 
 void BM_CountPlanScalarRef(benchmark::State& state) {
-  static const Dataset* dataset = [] {
-    CensusConfig c;
-    c.rows = 100'000;
-    return new Dataset(std::move(*GenerateCensus(c)));
-  }();
-  const size_t n = dataset->num_rows();
-  const uint32_t d0 = dataset->schema().attribute(kOccupation).domain_size;
-  const uint32_t d1 = dataset->schema().attribute(kEducation).domain_size;
-  const size_t cells = static_cast<size_t>(d0) * d1;
-  std::vector<uint32_t> counts(cells);
-  simd::CountPlanArgs args;
-  args.col0 = dataset->column(kOccupation).data();
-  args.col1 = dataset->column(kEducation).data();
-  args.begin = 0;
-  args.end = n;
-  args.stride0 = d1;
-  args.counts = counts.data();
-  args.cells = cells;
-  for (auto _ : state) {
-    std::fill(counts.begin(), counts.end(), 0);
-    simd::CountPlanScalarRef(args);
-    benchmark::DoNotOptimize(counts.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+  RunCountPlan(state, simd::CountPlanNScalarRef, {kOccupation, kEducation},
+               false);
 }
 BENCHMARK(BM_CountPlanScalarRef);
 
+void BM_CountPlanNKernel(benchmark::State& state) {
+  RunCountPlan(state, simd::CountPlanN, {kOccupation, kEducation, kGender},
+               true);
+  state.SetLabel(simd::TierName(simd::ActiveTier()));
+}
+BENCHMARK(BM_CountPlanNKernel);
+
+void BM_CountPlanNScalarRef(benchmark::State& state) {
+  RunCountPlan(state, simd::CountPlanNScalarRef,
+               {kOccupation, kEducation, kGender}, false);
+}
+BENCHMARK(BM_CountPlanNScalarRef);
+
 void BM_CountPlanReferenceLoop(benchmark::State& state) {
-  static const Dataset* dataset = [] {
-    CensusConfig c;
-    c.rows = 100'000;
-    return new Dataset(std::move(*GenerateCensus(c)));
-  }();
+  const Dataset& dataset = CountingCensus();
   const MarginalSpec spec{{kOccupation, kEducation}};
   for (auto _ : state) {
-    auto marginal = Marginal::Compute(*dataset, spec);
+    auto marginal = Marginal::Compute(dataset, spec);
     benchmark::DoNotOptimize(marginal);
   }
-  state.SetItemsProcessed(state.iterations() * dataset->num_rows());
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
 }
 BENCHMARK(BM_CountPlanReferenceLoop);
 

@@ -35,11 +35,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "eval/table_printer.h"
 #include "marginals/marginal_set.h"
@@ -50,35 +50,6 @@
 namespace {
 
 using namespace ireduct;
-
-std::vector<int> IntList(const char* name, std::vector<int> fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  std::vector<int> values;
-  std::stringstream ss{std::string(env)};
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const long long v = std::atoll(tok.c_str());
-    if (v > 0) values.push_back(static_cast<int>(v));
-  }
-  return values.empty() ? fallback : values;
-}
-
-double EnvGate(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || parsed < 0) return fallback;
-  return parsed;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long long v = std::atoll(env);
-  return v > 0 ? static_cast<int>(v) : fallback;
-}
 
 double Seconds(const std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -241,9 +212,11 @@ int main() {
   }
   IREDUCT_CHECK(!specs->empty());
 
-  const std::vector<int> tenant_list = IntList("SERVICE_TENANTS", {1, 4, 8});
-  const int waves = EnvInt("SERVICE_WAVES", 4);
-  const double min_speedup = EnvGate("SERVICE_MIN_SPEEDUP", 1.5);
+  const std::vector<int> tenant_list =
+      EnvIntList("SERVICE_TENANTS", {1, 4, 8});
+  const int waves = static_cast<int>(EnvInt64("SERVICE_WAVES", 4));
+  const double min_speedup =
+      EnvNonNegativeDouble("SERVICE_MIN_SPEEDUP", 1.5);
 
   std::string json;
   obs::JsonWriter writer(&json);

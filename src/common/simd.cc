@@ -11,8 +11,6 @@ const char* TierName(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -21,12 +19,9 @@ const char* TierName(Tier tier) {
 
 Tier DetectedTier() {
 #if defined(IREDUCT_SIMD_ENABLED) && defined(__x86_64__)
-  // SSE2 is part of the x86-64 baseline; only AVX2 needs a runtime probe.
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-  return Tier::kSse2;
-#else
-  return Tier::kScalar;
 #endif
+  return Tier::kScalar;
 }
 
 namespace {
@@ -37,7 +32,6 @@ Tier EnvCap() {
   if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0) {
     return Tier::kScalar;
   }
-  if (std::strcmp(env, "sse2") == 0) return Tier::kSse2;
   // "avx2" and anything unrecognized leave detection uncapped; a typo in
   // the override must not silently change results (it can't — tiers are
   // bit-identical) or quietly disable vectorization.

@@ -1,19 +1,18 @@
 // Runtime SIMD tier detection and dispatch policy for the vectorized
 // kernels in common/simd_kernels.h.
 //
-// The library ships one algorithm per kernel, instantiated for every tier
-// (AVX2, SSE2, scalar) from a shared pack template (common/simd_lanes.h).
+// The library ships one algorithm per kernel, instantiated for each of two
+// tiers (scalar, AVX2) from a shared pack template (common/simd_lanes.h).
 // Because every instantiation performs the same IEEE-754 operations in the
 // same order — and +, -, *, / are exactly rounded — all tiers produce
 // bit-identical results; the tier only changes wall-clock. Dispatch picks
-// the widest tier the CPU supports, overridable with the IREDUCT_SIMD
+// AVX2 when the CPU supports it, overridable with the IREDUCT_SIMD
 // environment variable:
 //
 //   IREDUCT_SIMD=off     force the scalar reference tier
 //   IREDUCT_SIMD=scalar  same as off
-//   IREDUCT_SIMD=sse2    cap at the 2-wide SSE2 tier
-//   IREDUCT_SIMD=avx2    cap at the 4-wide AVX2 tier (still subject to
-//                        what the CPU actually supports)
+//   IREDUCT_SIMD=avx2    allow the 4-wide AVX2 tier (still subject to what
+//                        the CPU actually supports); the default
 //
 // Builds configured with -DIREDUCT_ENABLE_SIMD=OFF compile only the scalar
 // tier; detection then always reports kScalar.
@@ -24,9 +23,9 @@ namespace ireduct {
 namespace simd {
 
 /// Kernel implementation tiers, widest last.
-enum class Tier { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Tier { kScalar = 0, kAvx2 = 1 };
 
-/// Human-readable tier name ("scalar" / "sse2" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* TierName(Tier tier);
 
 /// The widest tier this CPU supports, ignoring the IREDUCT_SIMD override

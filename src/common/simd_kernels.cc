@@ -11,39 +11,40 @@ namespace simd {
 
 namespace {
 
-// Counting loops, specialized over arity and row indirection so the inner
-// loop carries no per-row branches.
+// The two counting loops, specialized over row indirection so the dense
+// case keeps a branch-free inner loop, and over arity: a non-zero kArity
+// fixes it at compile time so the per-row stride sum unrolls, kArity == 0
+// reads a.arity at run time (the 4+-way fallback).
 
-template <bool kArity2, bool kIndirect>
-void CountDirect(const CountPlanArgs& a) {
+template <size_t kArity, bool kIndirect>
+void CountNDirect(const CountPlanNArgs& a) {
   uint32_t* const counts = a.counts;
-  const uint16_t* const c0 = a.col0;
-  const uint16_t* const c1 = a.col1;
-  const size_t s0 = a.stride0;
+  const uint16_t* const* const cols = a.cols;
+  const size_t* const strides = a.strides;
+  const size_t arity = kArity != 0 ? kArity : a.arity;
   for (size_t i = a.begin; i < a.end; ++i) {
     const size_t r = kIndirect ? a.row_idx[i] : i;
-    size_t cell = s0 * c0[r];
-    if constexpr (kArity2) cell += c1[r];
+    size_t cell = 0;
+    for (size_t k = 0; k < arity; ++k) cell += strides[k] * cols[k][r];
     ++counts[cell];
   }
 }
 
-template <bool kArity2, bool kIndirect>
-void CountStriped(const CountPlanArgs& a) {
+template <size_t kArity, bool kIndirect>
+void CountNStriped(const CountPlanNArgs& a) {
   const size_t cells = a.cells;
   uint32_t* const l0 = a.lane_scratch;
   uint32_t* const l1 = l0 + cells;
   uint32_t* const l2 = l1 + cells;
   uint32_t* const l3 = l2 + cells;
   std::memset(l0, 0, kBatchLanes * cells * sizeof(uint32_t));
-  const uint16_t* const c0 = a.col0;
-  const uint16_t* const c1 = a.col1;
-  const size_t s0 = a.stride0;
-
+  const uint16_t* const* const cols = a.cols;
+  const size_t* const strides = a.strides;
+  const size_t arity = kArity != 0 ? kArity : a.arity;
   const auto cell_of = [&](size_t i) {
     const size_t r = kIndirect ? a.row_idx[i] : i;
-    size_t cell = s0 * c0[r];
-    if constexpr (kArity2) cell += c1[r];
+    size_t cell = 0;
+    for (size_t k = 0; k < arity; ++k) cell += strides[k] * cols[k][r];
     return cell;
   };
 
@@ -65,92 +66,36 @@ void CountStriped(const CountPlanArgs& a) {
   }
 }
 
-// General-arity variants of the same two loops. The arity-long stride
-// reduction is the only difference; indirection is still hoisted to a
-// template parameter so the dense case keeps a branch-free inner loop.
-
-template <bool kIndirect>
-void CountNDirect(const CountPlanNArgs& a) {
-  uint32_t* const counts = a.counts;
-  const uint16_t* const* const cols = a.cols;
-  const size_t* const strides = a.strides;
-  const size_t arity = a.arity;
-  for (size_t i = a.begin; i < a.end; ++i) {
-    const size_t r = kIndirect ? a.row_idx[i] : i;
-    size_t cell = 0;
-    for (size_t k = 0; k < arity; ++k) cell += strides[k] * cols[k][r];
-    ++counts[cell];
-  }
-}
-
-template <bool kIndirect>
-void CountNStriped(const CountPlanNArgs& a) {
-  const size_t cells = a.cells;
-  uint32_t* const l0 = a.lane_scratch;
-  uint32_t* const l1 = l0 + cells;
-  uint32_t* const l2 = l1 + cells;
-  uint32_t* const l3 = l2 + cells;
-  std::memset(l0, 0, kBatchLanes * cells * sizeof(uint32_t));
-  const uint16_t* const* const cols = a.cols;
-  const size_t* const strides = a.strides;
-  const size_t arity = a.arity;
-
-  const auto cell_of = [&](size_t i) {
-    const size_t r = kIndirect ? a.row_idx[i] : i;
-    size_t cell = 0;
-    for (size_t k = 0; k < arity; ++k) cell += strides[k] * cols[k][r];
-    return cell;
-  };
-
-  size_t i = a.begin;
-  for (; i + 4 <= a.end; i += 4) {
-    ++l0[cell_of(i)];
-    ++l1[cell_of(i + 1)];
-    ++l2[cell_of(i + 2)];
-    ++l3[cell_of(i + 3)];
-  }
-  for (; i < a.end; ++i) ++l0[cell_of(i)];
-
-  uint32_t* const counts = a.counts;
-  for (size_t c = 0; c < cells; ++c) {
-    counts[c] += l0[c] + l1[c] + l2[c] + l3[c];
-  }
-}
-
-template <void (*Fn1D)(const CountPlanArgs&),
-          void (*Fn1I)(const CountPlanArgs&),
-          void (*Fn2D)(const CountPlanArgs&),
-          void (*Fn2I)(const CountPlanArgs&)>
-void CountDispatchShape(const CountPlanArgs& a) {
-  const bool arity2 = a.col1 != nullptr;
-  const bool indirect = a.row_idx != nullptr;
-  if (arity2) {
-    (indirect ? Fn2I : Fn2D)(a);
-  } else {
-    (indirect ? Fn1I : Fn1D)(a);
-  }
-}
-
 }  // namespace
 
 namespace internal {
 
-void CountPlanDirectScalar(const CountPlanArgs& a) {
-  CountDispatchShape<CountDirect<false, false>, CountDirect<false, true>,
-                     CountDirect<true, false>, CountDirect<true, true>>(a);
-}
-
-void CountPlanStripedScalar(const CountPlanArgs& a) {
-  CountDispatchShape<CountStriped<false, false>, CountStriped<false, true>,
-                     CountStriped<true, false>, CountStriped<true, true>>(a);
-}
-
 void CountPlanNDirectScalar(const CountPlanNArgs& a) {
-  (a.row_idx != nullptr ? CountNDirect<true> : CountNDirect<false>)(a);
+  const bool ind = a.row_idx != nullptr;
+  switch (a.arity) {
+    case 1:
+      return (ind ? CountNDirect<1, true> : CountNDirect<1, false>)(a);
+    case 2:
+      return (ind ? CountNDirect<2, true> : CountNDirect<2, false>)(a);
+    case 3:
+      return (ind ? CountNDirect<3, true> : CountNDirect<3, false>)(a);
+    default:
+      return (ind ? CountNDirect<0, true> : CountNDirect<0, false>)(a);
+  }
 }
 
 void CountPlanNStripedScalar(const CountPlanNArgs& a) {
-  (a.row_idx != nullptr ? CountNStriped<true> : CountNStriped<false>)(a);
+  const bool ind = a.row_idx != nullptr;
+  switch (a.arity) {
+    case 1:
+      return (ind ? CountNStriped<1, true> : CountNStriped<1, false>)(a);
+    case 2:
+      return (ind ? CountNStriped<2, true> : CountNStriped<2, false>)(a);
+    case 3:
+      return (ind ? CountNStriped<3, true> : CountNStriped<3, false>)(a);
+    default:
+      return (ind ? CountNStriped<0, true> : CountNStriped<0, false>)(a);
+  }
 }
 
 }  // namespace internal
@@ -167,61 +112,24 @@ void BatchExponentialScalarRef(const LaneStates& states, double mean,
 
 void BatchLaplace(const LaneStates& states, const double* scales, double* out,
                   size_t n) {
-  switch (ActiveTier()) {
 #if defined(IREDUCT_SIMD_ENABLED) && defined(__x86_64__)
-    case Tier::kAvx2:
-      internal::BatchLaplaceAvx2(states, scales, out, n);
-      return;
-#endif
-#if defined(__SSE2__)
-    case Tier::kSse2:
-      lanes::BatchLaplaceT<lanes::PackSse2>(states, scales, out, n);
-      return;
-#endif
-    default:
-      break;
+  if (ActiveTier() == Tier::kAvx2) {
+    internal::BatchLaplaceAvx2(states, scales, out, n);
+    return;
   }
-  lanes::BatchLaplaceT<lanes::PackScalar>(states, scales, out, n);
+#endif
+  BatchLaplaceScalarRef(states, scales, out, n);
 }
 
 void BatchExponential(const LaneStates& states, double mean, double* out,
                       size_t n) {
-  switch (ActiveTier()) {
-#if defined(IREDUCT_SIMD_ENABLED) && defined(__x86_64__)
-    case Tier::kAvx2:
-      internal::BatchExponentialAvx2(states, mean, out, n);
-      return;
-#endif
-#if defined(__SSE2__)
-    case Tier::kSse2:
-      lanes::BatchExponentialT<lanes::PackSse2>(states, mean, out, n);
-      return;
-#endif
-    default:
-      break;
-  }
-  lanes::BatchExponentialT<lanes::PackScalar>(states, mean, out, n);
-}
-
-void CountPlanScalarRef(const CountPlanArgs& args) {
-  internal::CountPlanDirectScalar(args);
-}
-
-void CountPlan(const CountPlanArgs& args) {
 #if defined(IREDUCT_SIMD_ENABLED) && defined(__x86_64__)
   if (ActiveTier() == Tier::kAvx2) {
-    internal::CountPlanAvx2(args);
+    internal::BatchExponentialAvx2(states, mean, out, n);
     return;
   }
 #endif
-  // Scalar and SSE2 tiers: the lane-striped loop is the scalar-code win
-  // (vector integer multiply needs SSE4.1+, so there is no distinct SSE2
-  // index kernel). Identical totals either way — counts are integers.
-  if (args.lane_scratch != nullptr) {
-    internal::CountPlanStripedScalar(args);
-  } else {
-    internal::CountPlanDirectScalar(args);
-  }
+  BatchExponentialScalarRef(states, mean, out, n);
 }
 
 void CountPlanNScalarRef(const CountPlanNArgs& args) {

@@ -11,16 +11,17 @@
 //    always run the pinned scalar instantiation regardless of dispatch;
 //    parity tests compare the dispatched output against them bit for bit.
 //
-//  * Counting — CountPlan folds a row range of uint16 attribute codes into
-//    a single marginal's count table (cell = stride0 * col0 + col1). With
+//  * Counting — CountPlanN folds a row range of uint16 attribute codes into
+//    a single marginal's count table (cell = sum of stride * code). With
 //    `lane_scratch` provided, increments round-robin across four private
 //    count buffers (breaking the store-to-load dependency chain that
 //    serializes increments on Zipf-hot cells) which are then merged in
 //    fixed lane order; counts are integers, so any increment placement
-//    yields identical totals.
+//    yields identical totals. On AVX2 the dense-row path computes the
+//    cell indices 16 rows at a time.
 //
-// All kernels are instantiated per tier from the shared pack templates in
-// common/simd_lanes.h; see that header for the bit-identity argument.
+// Each kernel has a scalar and an AVX2 body; the samplers share one pack
+// template (common/simd_lanes.h, which carries the bit-identity argument).
 #ifndef IREDUCT_COMMON_SIMD_KERNELS_H_
 #define IREDUCT_COMMON_SIMD_KERNELS_H_
 
@@ -56,36 +57,10 @@ void BatchExponential(const LaneStates& states, double mean, double* out,
 void BatchExponentialScalarRef(const LaneStates& states, double mean,
                                double* out, size_t n);
 
-/// One marginal's counting pass over a row range.
-struct CountPlanArgs {
-  const uint16_t* col0 = nullptr;  // first attribute's codes (required)
-  const uint16_t* col1 = nullptr;  // second attribute's codes; null = arity 1
-  const uint32_t* row_idx = nullptr;  // row subset; null = dense range
-  size_t begin = 0;                   // row range [begin, end)
-  size_t end = 0;
-  size_t stride0 = 1;       // cell = stride0 * col0[r] (+ col1[r])
-  uint32_t* counts = nullptr;  // plan-local table, `cells` entries, +='d into
-  size_t cells = 0;
-  // Optional scratch of kBatchLanes * cells uint32s (need not be zeroed;
-  // the kernel clears it). When provided, increments are striped across
-  // four private buffers and merged — the profitable mode once the row
-  // range is large relative to `cells`. When null, increments go straight
-  // into `counts`.
-  uint32_t* lane_scratch = nullptr;
-};
-
-/// Counts the range into args.counts. Dispatches to the active tier; total
-/// counts are identical in every mode and tier (integer increments).
-void CountPlan(const CountPlanArgs& args);
-
-/// Pinned scalar reference for CountPlan (ignores dispatch).
-void CountPlanScalarRef(const CountPlanArgs& args);
-
-/// General-arity counting pass (cell = sum over k of strides[k] *
-/// cols[k][r]). CountPlan's fixed two-column shape covers the paper's 1D/2D
-/// tasks; this is the arity-3+ path, vectorized the same way: AVX2 computes
-/// the fused cell indices 16 rows at a time (one widen+multiply+add per
-/// column), increments stripe across four private tables.
+/// One marginal's counting pass over a row range: cell = sum over k of
+/// strides[k] * cols[k][r]. Arities 1-3 (every task in the paper plus
+/// all-3-way workloads) run loops specialized at compile time; wider
+/// marginals read `arity` at run time.
 struct CountPlanNArgs {
   const uint16_t* const* cols = nullptr;  // `arity` column code pointers
   const size_t* strides = nullptr;        // `arity` row-major strides
@@ -95,7 +70,11 @@ struct CountPlanNArgs {
   size_t end = 0;
   uint32_t* counts = nullptr;  // plan-local table, `cells` entries, +='d into
   size_t cells = 0;
-  // Same contract as CountPlanArgs::lane_scratch.
+  // Optional scratch of kBatchLanes * cells uint32s (need not be zeroed;
+  // the kernel clears it). When provided, increments are striped across
+  // four private buffers and merged — the profitable mode once the row
+  // range is large relative to `cells`. When null, increments go straight
+  // into `counts`.
   uint32_t* lane_scratch = nullptr;
 };
 

@@ -28,66 +28,16 @@ void BatchExponentialAvx2(const LaneStates& states, double mean, double* out,
 namespace {
 
 // Vectorized cell-index computation for the dense-row counting loop:
-// 16 rows per iteration, two 8-wide u32 index vectors spilled to a stack
-// buffer, increments striped across the four lane tables. The increments
-// themselves stay scalar (no scatter in AVX2), but index arithmetic leaves
-// the scalar ports free for them and the striping breaks the hot-cell
-// dependency chain.
-template <bool kArity2>
-void CountDenseAvx2(const CountPlanArgs& a) {
-  const size_t cells = a.cells;
-  uint32_t* const l0 = a.lane_scratch;
-  uint32_t* const l1 = l0 + cells;
-  uint32_t* const l2 = l1 + cells;
-  uint32_t* const l3 = l2 + cells;
-  std::memset(l0, 0, kBatchLanes * cells * sizeof(uint32_t));
-
-  const uint16_t* const c0 = a.col0;
-  const uint16_t* const c1 = a.col1;
-  const __m256i stride = _mm256_set1_epi32(static_cast<int>(a.stride0));
-
-  alignas(32) uint32_t idx[16];
-  size_t i = a.begin;
-  for (; i + 16 <= a.end; i += 16) {
-    __m256i lo = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c0 + i)));
-    __m256i hi = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c0 + i + 8)));
-    lo = _mm256_mullo_epi32(lo, stride);
-    hi = _mm256_mullo_epi32(hi, stride);
-    if constexpr (kArity2) {
-      lo = _mm256_add_epi32(
-          lo, _mm256_cvtepu16_epi32(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(c1 + i))));
-      hi = _mm256_add_epi32(
-          hi, _mm256_cvtepu16_epi32(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(c1 + i + 8))));
-    }
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx), lo);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx + 8), hi);
-    for (size_t j = 0; j < 16; j += 4) {
-      ++l0[idx[j]];
-      ++l1[idx[j + 1]];
-      ++l2[idx[j + 2]];
-      ++l3[idx[j + 3]];
-    }
-  }
-  for (; i < a.end; ++i) {
-    size_t cell = a.stride0 * c0[i];
-    if constexpr (kArity2) cell += c1[i];
-    ++l0[cell];
-  }
-
-  uint32_t* const counts = a.counts;
-  for (size_t c = 0; c < cells; ++c) {
-    counts[c] += l0[c] + l1[c] + l2[c] + l3[c];
-  }
-}
-
-// General-arity sibling of CountDenseAvx2: the two index vectors accumulate
-// one widen+multiply+add per column instead of the fixed col0/col1 pair.
-// Each stride term is mathematically < cells <= 2^31, so the mod-2^32
-// mullo is exact for the u32 indices.
+// 16 rows per iteration, two 8-wide u32 index vectors (one
+// widen+multiply+add per column) spilled to a stack buffer, increments
+// striped across the four lane tables. The increments themselves stay
+// scalar (no scatter in AVX2), but index arithmetic leaves the scalar
+// ports free for them and the striping breaks the hot-cell dependency
+// chain. Each stride term is mathematically < cells <= 2^31, so the
+// mod-2^32 mullo is exact for the u32 indices. A non-zero kArity fixes the
+// column count at compile time so the column loop unrolls; kArity == 0
+// reads a.arity at run time.
+template <size_t kArity>
 void CountDenseNAvx2(const CountPlanNArgs& a) {
   const size_t cells = a.cells;
   uint32_t* const l0 = a.lane_scratch;
@@ -96,9 +46,9 @@ void CountDenseNAvx2(const CountPlanNArgs& a) {
   uint32_t* const l3 = l2 + cells;
   std::memset(l0, 0, kBatchLanes * cells * sizeof(uint32_t));
 
+  const size_t arity = kArity != 0 ? kArity : a.arity;
   const uint16_t* const* const cols = a.cols;
   const size_t* const strides = a.strides;
-  const size_t arity = a.arity;
 
   alignas(32) uint32_t idx[16];
   size_t i = a.begin;
@@ -138,33 +88,30 @@ void CountDenseNAvx2(const CountPlanNArgs& a) {
 
 }  // namespace
 
-void CountPlanAvx2(const CountPlanArgs& a) {
+void CountPlanNAvx2(const CountPlanNArgs& a) {
   // The vector path needs lane scratch, dense rows, and u32-safe indices;
   // everything else takes the scalar loops (same totals either way).
-  const bool u32_safe = a.cells <= (size_t{1} << 31) &&
-                        a.stride0 <= (size_t{1} << 31);
-  if (a.lane_scratch == nullptr) {
-    CountPlanDirectScalar(a);
-  } else if (a.row_idx != nullptr || !u32_safe) {
-    CountPlanStripedScalar(a);
-  } else if (a.col1 != nullptr) {
-    CountDenseAvx2<true>(a);
-  } else {
-    CountDenseAvx2<false>(a);
-  }
-}
-
-void CountPlanNAvx2(const CountPlanNArgs& a) {
   bool u32_safe = a.cells <= (size_t{1} << 31);
   for (size_t k = 0; u32_safe && k < a.arity; ++k) {
     u32_safe = a.strides[k] <= (size_t{1} << 31);
   }
   if (a.lane_scratch == nullptr) {
     CountPlanNDirectScalar(a);
-  } else if (a.row_idx != nullptr || !u32_safe) {
+    return;
+  }
+  if (a.row_idx != nullptr || !u32_safe) {
     CountPlanNStripedScalar(a);
-  } else {
-    CountDenseNAvx2(a);
+    return;
+  }
+  switch (a.arity) {
+    case 1:
+      return CountDenseNAvx2<1>(a);
+    case 2:
+      return CountDenseNAvx2<2>(a);
+    case 3:
+      return CountDenseNAvx2<3>(a);
+    default:
+      return CountDenseNAvx2<0>(a);
   }
 }
 

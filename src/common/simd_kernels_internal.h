@@ -15,14 +15,11 @@ void BatchLaplaceAvx2(const LaneStates& states, const double* scales,
                       double* out, size_t n);
 void BatchExponentialAvx2(const LaneStates& states, double mean, double* out,
                           size_t n);
-void CountPlanAvx2(const CountPlanArgs& args);
 void CountPlanNAvx2(const CountPlanNArgs& args);
 
-// Lane-striped scalar counting loops, shared by the scalar/SSE2 tiers and
-// the AVX2 fallbacks (indirect rows, oversized strides). Defined in
+// Scalar counting loops, shared by the scalar tier and the AVX2 fallbacks
+// (no lane scratch, indirect rows, oversized strides). Defined in
 // simd_kernels.cc.
-void CountPlanStripedScalar(const CountPlanArgs& args);
-void CountPlanDirectScalar(const CountPlanArgs& args);
 void CountPlanNStripedScalar(const CountPlanNArgs& args);
 void CountPlanNDirectScalar(const CountPlanNArgs& args);
 

@@ -1,14 +1,14 @@
 // Shared lane-pack implementation of the vectorized sampling kernels.
 //
-// One algorithm, many widths: every kernel below is a template over a
+// One algorithm, two widths: every kernel below is a template over a
 // "pack" type P that models W = P::kWidth parallel double/uint64 lanes.
-// PackScalar (W = 1) is the pinned reference; PackSse2 (W = 2) and
-// PackAvx2 (W = 4, compiled only in the -mavx2 translation unit) run the
-// *same operations in the same order* on wider registers. Since IEEE-754
-// +, -, *, / are exactly rounded (and the kernels use no FMA and no libm),
-// each lane of a wide pack computes bit-for-bit what the scalar pack
-// computes — which is what makes the IREDUCT_SIMD dispatch override a pure
-// performance knob and lets the parity tests require exact equality.
+// PackScalar (W = 1) is the pinned reference; PackAvx2 (W = 4, compiled
+// only in the -mavx2 translation unit) runs the *same operations in the
+// same order* on wider registers. Since IEEE-754 +, -, *, / are exactly
+// rounded (and the kernels use no FMA and no libm), each lane of the wide
+// pack computes bit-for-bit what the scalar pack computes — which is what
+// makes the IREDUCT_SIMD dispatch override a pure performance knob and
+// lets the parity tests require exact equality.
 //
 // The batch samplers consume randomness through a fixed 4-substream
 // contract (simd_kernels.h): element i draws from lane i mod 4, all four
@@ -20,9 +20,6 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
@@ -86,56 +83,6 @@ struct PackScalar {
   }
 };
 
-#if defined(__SSE2__)
-struct PackSse2 {
-  static constexpr size_t kWidth = 2;
-  using U64 = __m128i;
-  using F64 = __m128d;
-  using Mask = __m128d;
-
-  static U64 LoadU(const uint64_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void StoreU(uint64_t* p, U64 x) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), x);
-  }
-  static U64 BroadcastU(uint64_t v) {
-    return _mm_set1_epi64x(static_cast<long long>(v));
-  }
-  static U64 Add(U64 a, U64 b) { return _mm_add_epi64(a, b); }
-  static U64 Xor(U64 a, U64 b) { return _mm_xor_si128(a, b); }
-  static U64 Or(U64 a, U64 b) { return _mm_or_si128(a, b); }
-  static U64 And(U64 a, U64 b) { return _mm_and_si128(a, b); }
-  template <int k>
-  static U64 Shl(U64 a) {
-    return _mm_slli_epi64(a, k);
-  }
-  template <int k>
-  static U64 Shr(U64 a) {
-    return _mm_srli_epi64(a, k);
-  }
-
-  static F64 LoadF(const double* p) { return _mm_loadu_pd(p); }
-  static void StoreF(double* p, F64 x) { _mm_storeu_pd(p, x); }
-  static F64 BroadcastF(double v) { return _mm_set1_pd(v); }
-  static F64 AddF(F64 a, F64 b) { return _mm_add_pd(a, b); }
-  static F64 SubF(F64 a, F64 b) { return _mm_sub_pd(a, b); }
-  static F64 MulF(F64 a, F64 b) { return _mm_mul_pd(a, b); }
-  static F64 DivF(F64 a, F64 b) { return _mm_div_pd(a, b); }
-  // Note: unlike std::max, _mm_max_pd(a, b) picks a only when a > b; the
-  // kernels never compare NaNs, and both orders agree on distinct finite
-  // values, so scalar MaxF matches lane for lane.
-  static F64 MaxF(F64 a, F64 b) { return _mm_max_pd(b, a); }
-
-  static F64 CastToF(U64 x) { return _mm_castsi128_pd(x); }
-  static U64 CastToU(F64 f) { return _mm_castpd_si128(f); }
-  static Mask CmpGtF(F64 a, F64 b) { return _mm_cmpgt_pd(a, b); }
-  static F64 SelectF(Mask m, F64 a, F64 b) {
-    return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
-  }
-};
-#endif  // __SSE2__
-
 #if defined(__AVX2__)
 struct PackAvx2 {
   static constexpr size_t kWidth = 4;
@@ -172,6 +119,9 @@ struct PackAvx2 {
   static F64 SubF(F64 a, F64 b) { return _mm256_sub_pd(a, b); }
   static F64 MulF(F64 a, F64 b) { return _mm256_mul_pd(a, b); }
   static F64 DivF(F64 a, F64 b) { return _mm256_div_pd(a, b); }
+  // Note: unlike std::max, _mm256_max_pd(a, b) picks a only when a > b;
+  // the kernels never compare NaNs, and both orders agree on distinct
+  // finite values, so scalar MaxF matches lane for lane.
   static F64 MaxF(F64 a, F64 b) { return _mm256_max_pd(b, a); }
 
   static F64 CastToF(U64 x) { return _mm256_castsi256_pd(x); }

@@ -9,6 +9,7 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "dp/ledger_journal.h"
 
 namespace ireduct {
 
@@ -293,8 +295,13 @@ Status OpenFailure(const std::string& path, const std::string& what) {
 // ---------------------------------------------------------------------------
 // Writer
 
-Status WriteColumnar(const Dataset& dataset, const std::string& path,
-                     const ColumnarWriteOptions& options) {
+namespace {
+
+// Writes the columnar image of `dataset` into `file`; errors name `path`,
+// the file the caller is replacing.
+Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
+                         const std::string& file,
+                         const ColumnarWriteOptions& options) {
   if (options.block_rows == 0) {
     return Status::InvalidArgument("block_rows must be positive");
   }
@@ -323,7 +330,7 @@ Status WriteColumnar(const Dataset& dataset, const std::string& path,
   size_t data_offset = kHeaderBytes + schema_bytes.size();
   data_offset = (data_offset + kColumnAlign - 1) / kColumnAlign * kColumnAlign;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
   if (!out) return WriteFailure(path, "cannot open for writing");
 
   // Placeholder header + schema + padding; the real header lands last,
@@ -436,9 +443,45 @@ Status WriteColumnar(const Dataset& dataset, const std::string& path,
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(schema_bytes.data(),
             static_cast<std::streamsize>(schema_bytes.size()));
-  out.flush();
+  out.close();
   if (!out) return WriteFailure(path, "short write");
   return Status::OK();
+}
+
+Status SyncFile(const std::string& path, const std::string& file) {
+  const int fd = ::open(file.c_str(), O_WRONLY);
+  if (fd < 0) {
+    return WriteFailure(path, std::string("reopen for fsync: ") +
+                                  std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int fsync_errno = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return WriteFailure(path,
+                        std::string("fsync: ") + std::strerror(fsync_errno));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status WriteColumnar(const Dataset& dataset, const std::string& path,
+                     const ColumnarWriteOptions& options) {
+  // Build the new file beside the old one and rename it into place: a
+  // reader that has the old file mapped (QueryServer::AddDatasetFile)
+  // keeps its inode, where truncating in place would SIGBUS it.
+  const std::string tmp = path + ".tmp";
+  Status status = WriteColumnarFile(dataset, path, tmp, options);
+  if (status.ok()) status = SyncFile(path, tmp);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = WriteFailure(path, std::string("rename: ") + std::strerror(errno));
+  }
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());  // don't leak a half-written file
+    return status;
+  }
+  return SyncParentDir(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,54 +142,37 @@ void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
         scratch_arena.Alloc<uint32_t>(simd::kBatchLanes * max_kernel_cells_);
   }
 
-  // Plan-major: every plan goes through a dispatched counting kernel —
-  // the fixed two-column CountPlan for arities 1/2 (all of the paper's
-  // tasks), CountPlanN for wider marginals. Census data is Zipf-skewed, so
-  // consecutive rows keep hitting the same hot cells and a naive
-  // ++table[cell] serializes on store-to-load forwarding; the kernels
-  // stripe increments across four private tables (and on AVX2 compute the
-  // cell indices 16 rows at a time) and merge in fixed lane order. Counts
-  // are integers, so striping cannot change any total. Striping only pays
-  // when the row range dwarfs a cache-resident table; small shards and
-  // huge tables count directly into `counts`.
+  // Plan-major: every plan goes through the dispatched counting kernel.
+  // Census data is Zipf-skewed, so consecutive rows keep hitting the same
+  // hot cells and a naive ++table[cell] serializes on store-to-load
+  // forwarding; the kernel stripes increments across four private tables
+  // (and on AVX2 computes the cell indices 16 rows at a time) and merges
+  // in fixed lane order. Counts are integers, so striping cannot change
+  // any total. Striping only pays when the row range dwarfs a
+  // cache-resident table; small shards and huge tables count directly
+  // into `counts`.
   std::vector<const uint16_t*> plan_cols;
   std::vector<size_t> plan_strides;
   for (const SpecPlan& plan : plans_) {
-    const size_t arity = plan.terms.size();
-    uint32_t* const table = counts + plan.offset;
+    plan_cols.clear();
+    plan_strides.clear();
+    for (const auto& [col, stride] : plan.terms) {
+      plan_cols.push_back(cols[col]);
+      plan_strides.push_back(stride);
+    }
     const bool striped = nrows >= 4 * plan.cells && plan.cells > 1 &&
                          plan.cells <= kMaxStripedCells;
-    if (arity == 1 || arity == 2) {
-      simd::CountPlanArgs args;
-      args.col0 = cols[plan.terms[0].first];
-      args.col1 = arity == 2 ? cols[plan.terms[1].first] : nullptr;
-      args.row_idx = row_idx;
-      args.begin = begin;
-      args.end = end;
-      args.stride0 = plan.terms[0].second;
-      args.counts = table;
-      args.cells = plan.cells;
-      args.lane_scratch = striped ? lane_scratch : nullptr;
-      simd::CountPlan(args);
-    } else {
-      plan_cols.clear();
-      plan_strides.clear();
-      for (const auto& [col, stride] : plan.terms) {
-        plan_cols.push_back(cols[col]);
-        plan_strides.push_back(stride);
-      }
-      simd::CountPlanNArgs args;
-      args.cols = plan_cols.data();
-      args.strides = plan_strides.data();
-      args.arity = arity;
-      args.row_idx = row_idx;
-      args.begin = begin;
-      args.end = end;
-      args.counts = table;
-      args.cells = plan.cells;
-      args.lane_scratch = striped ? lane_scratch : nullptr;
-      simd::CountPlanN(args);
-    }
+    simd::CountPlanNArgs args;
+    args.cols = plan_cols.data();
+    args.strides = plan_strides.data();
+    args.arity = plan.terms.size();
+    args.row_idx = row_idx;
+    args.begin = begin;
+    args.end = end;
+    args.counts = counts + plan.offset;
+    args.cells = plan.cells;
+    args.lane_scratch = striped ? lane_scratch : nullptr;
+    simd::CountPlanN(args);
   }
 }
 

@@ -136,11 +136,6 @@ TEST(SimdKernelsTest, OverrideCapsButNeverExceedsDetection) {
     EXPECT_EQ(ActiveTier(), Tier::kScalar);
   }
   {
-    ScopedSimdOverride cap("sse2");
-    EXPECT_LE(static_cast<int>(ActiveTier()),
-              static_cast<int>(Tier::kSse2));
-  }
-  {
     // avx2 is a cap, not a demand: detection still rules.
     ScopedSimdOverride cap("avx2");
     EXPECT_LE(static_cast<int>(ActiveTier()),
@@ -190,108 +185,7 @@ TEST(SimdKernelsTest, BatchExponentialMatchesDistributionMoments) {
 }
 
 // ---------------------------------------------------------------------------
-// Counting kernels.
-
-struct CountFixture {
-  std::vector<uint16_t> col0, col1;
-  std::vector<uint32_t> odd_rows;
-  size_t d0 = 13, d1 = 9;
-
-  explicit CountFixture(size_t rows) {
-    BitGen gen(99);
-    col0.resize(rows);
-    col1.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      col0[r] = static_cast<uint16_t>(gen.UniformInt(d0));
-      col1[r] = static_cast<uint16_t>(gen.UniformInt(d1));
-      if (r % 2 == 1) odd_rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
-};
-
-CountPlanArgs Arity2Args(const CountFixture& f, std::vector<uint32_t>& counts,
-                         std::vector<uint32_t>* scratch) {
-  CountPlanArgs args;
-  args.col0 = f.col0.data();
-  args.col1 = f.col1.data();
-  args.begin = 0;
-  args.end = f.col0.size();
-  args.stride0 = f.d1;
-  args.cells = f.d0 * f.d1;
-  counts.assign(args.cells, 0);
-  args.counts = counts.data();
-  if (scratch != nullptr) {
-    scratch->resize(kBatchLanes * args.cells);
-    args.lane_scratch = scratch->data();
-  }
-  return args;
-}
-
-TEST(SimdKernelsTest, CountPlanStripedMatchesDirectArity2) {
-  const CountFixture f(10'000);
-  std::vector<uint32_t> direct, striped, scratch;
-  CountPlanScalarRef(Arity2Args(f, direct, nullptr));
-  CountPlan(Arity2Args(f, striped, &scratch));
-  EXPECT_EQ(striped, direct);
-  uint64_t total = 0;
-  for (uint32_t c : direct) total += c;
-  EXPECT_EQ(total, f.col0.size());
-}
-
-TEST(SimdKernelsTest, CountPlanMatchesOnRowSubsets) {
-  const CountFixture f(10'000);
-  std::vector<uint32_t> direct, dispatched, scratch;
-  CountPlanArgs ref = Arity2Args(f, direct, nullptr);
-  ref.row_idx = f.odd_rows.data();
-  ref.begin = 0;
-  ref.end = f.odd_rows.size();
-  CountPlanScalarRef(ref);
-  CountPlanArgs got = Arity2Args(f, dispatched, &scratch);
-  got.row_idx = f.odd_rows.data();
-  got.begin = 0;
-  got.end = f.odd_rows.size();
-  CountPlan(got);
-  EXPECT_EQ(dispatched, direct);
-}
-
-TEST(SimdKernelsTest, CountPlanArity1AndAccumulateSemantics) {
-  const CountFixture f(4'096);
-  std::vector<uint32_t> direct(f.d0, 7), dispatched(f.d0, 7), scratch;
-  CountPlanArgs args;
-  args.col0 = f.col0.data();
-  args.begin = 17;  // non-zero offset exercises the range handling
-  args.end = f.col0.size() - 5;
-  args.stride0 = 1;
-  args.cells = f.d0;
-
-  args.counts = direct.data();
-  CountPlanScalarRef(args);
-
-  args.counts = dispatched.data();
-  scratch.resize(kBatchLanes * args.cells);
-  args.lane_scratch = scratch.data();
-  CountPlan(args);
-
-  // Both paths must have *added to* the pre-existing 7s, not overwritten.
-  EXPECT_EQ(dispatched, direct);
-  uint64_t total = 0;
-  for (uint32_t c : direct) total += c;
-  EXPECT_EQ(total, (args.end - args.begin) + 7 * f.d0);
-}
-
-TEST(SimdKernelsTest, CountPlanForcedScalarMatchesDispatch) {
-  const CountFixture f(20'000);
-  std::vector<uint32_t> fast, slow, scratch_a, scratch_b;
-  CountPlan(Arity2Args(f, fast, &scratch_a));
-  {
-    ScopedSimdOverride off("off");
-    CountPlan(Arity2Args(f, slow, &scratch_b));
-  }
-  EXPECT_EQ(fast, slow);
-}
-
-// ---------------------------------------------------------------------------
-// General-arity counting kernel (CountPlanN).
+// Counting kernel (CountPlanN).
 
 struct CountNFixture {
   std::vector<std::vector<uint16_t>> cols;
@@ -343,68 +237,161 @@ struct CountNFixture {
   }
 };
 
+// One shape per kernel instantiation: the compile-time arities 1, 2 and 3,
+// and the run-time-arity fallback at 4 and 6.
+const std::vector<std::vector<size_t>> kCountShapes = {
+    {13}, {13, 9}, {5, 3, 7}, {4, 2, 3, 5}, {2, 2, 2, 3, 3, 2}};
+
+// Row counts around the AVX2 kernel's 16-row block: none at all, one block
+// plus a 15-row tail, an exact multiple, and a large range with a 7-row
+// tail.
+const size_t kCountRows[] = {15, 31, 4'096, 10'007};
+
 TEST(SimdKernelsTest, CountPlanNMatchesScalarRefAcrossArities) {
-  for (const auto& domains :
-       {std::vector<size_t>{5, 3, 7}, std::vector<size_t>{4, 2, 3, 5},
-        std::vector<size_t>{2, 2, 2, 3, 3, 2}}) {
-    const CountNFixture f(10'000, domains);
-    std::vector<uint32_t> want, direct, striped, scratch;
-    CountPlanNScalarRef(f.Args(want, nullptr));
-    CountPlanN(f.Args(direct, nullptr));
-    CountPlanN(f.Args(striped, &scratch));
-    EXPECT_EQ(direct, want) << "arity " << domains.size();
-    EXPECT_EQ(striped, want) << "arity " << domains.size();
-    uint64_t total = 0;
-    for (uint32_t c : want) total += c;
-    EXPECT_EQ(total, f.cols[0].size());
+  for (const auto& domains : kCountShapes) {
+    for (const size_t rows : kCountRows) {
+      const CountNFixture f(rows, domains);
+      std::vector<uint32_t> want, direct, striped, scratch;
+      CountPlanNScalarRef(f.Args(want, nullptr));
+      CountPlanN(f.Args(direct, nullptr));
+      CountPlanN(f.Args(striped, &scratch));
+      EXPECT_EQ(direct, want) << "arity " << domains.size() << ", " << rows
+                              << " rows";
+      EXPECT_EQ(striped, want) << "arity " << domains.size() << ", " << rows
+                               << " rows";
+      uint64_t total = 0;
+      for (uint32_t c : want) total += c;
+      EXPECT_EQ(total, rows);
+    }
   }
 }
 
 TEST(SimdKernelsTest, CountPlanNMatchesOnRowSubsets) {
-  const CountNFixture f(8'000, {6, 4, 5});
-  std::vector<uint32_t> want, got, scratch;
-  CountPlanNArgs ref = f.Args(want, nullptr);
-  ref.row_idx = f.odd_rows.data();
-  ref.end = f.odd_rows.size();
-  CountPlanNScalarRef(ref);
-  CountPlanNArgs args = f.Args(got, &scratch);
-  args.row_idx = f.odd_rows.data();
-  args.end = f.odd_rows.size();
-  CountPlanN(args);
-  EXPECT_EQ(got, want);
+  for (const auto& domains : kCountShapes) {
+    // 5,003 odd rows: not a multiple of 16.
+    const CountNFixture f(10'007, domains);
+    std::vector<uint32_t> want, direct, striped, scratch;
+    CountPlanNArgs ref = f.Args(want, nullptr);
+    ref.row_idx = f.odd_rows.data();
+    ref.end = f.odd_rows.size();
+    CountPlanNScalarRef(ref);
+    for (std::vector<uint32_t>* got : {&direct, &striped}) {
+      CountPlanNArgs args =
+          f.Args(*got, got == &striped ? &scratch : nullptr);
+      args.row_idx = f.odd_rows.data();
+      args.end = f.odd_rows.size();
+      CountPlanN(args);
+      EXPECT_EQ(*got, want) << "arity " << domains.size()
+                            << (got == &striped ? " striped" : " direct");
+    }
+  }
 }
 
 TEST(SimdKernelsTest, CountPlanNAccumulatesAndHonorsRanges) {
-  const CountNFixture f(4'096, {3, 3, 3});
-  std::vector<uint32_t> want, got, scratch;
-  CountPlanNArgs ref = f.Args(want, nullptr);
-  ref.begin = 13;
-  ref.end = 4'000;
-  want.assign(f.cells, 5);  // pre-existing counts must be added to
-  CountPlanNScalarRef(ref);
-  CountPlanNArgs args = f.Args(got, &scratch);
-  args.begin = 13;
-  args.end = 4'000;
-  got.assign(f.cells, 5);
-  CountPlanN(args);
-  EXPECT_EQ(got, want);
-  uint64_t total = 0;
-  for (uint32_t c : got) total += c;
-  EXPECT_EQ(total, (4'000 - 13) + 5 * f.cells);
+  for (const auto& domains : kCountShapes) {
+    const CountNFixture f(4'096, domains);
+    // A non-zero offset and a range length (4,074) that is not a multiple
+    // of 16, added to pre-existing counts that must not be overwritten.
+    const size_t begin = 17;
+    const size_t end = 4'096 - 5;
+    std::vector<uint32_t> want, direct, striped, scratch;
+    CountPlanNArgs ref = f.Args(want, nullptr);
+    ref.begin = begin;
+    ref.end = end;
+    want.assign(f.cells, 7);
+    CountPlanNScalarRef(ref);
+    for (std::vector<uint32_t>* got : {&direct, &striped}) {
+      CountPlanNArgs args =
+          f.Args(*got, got == &striped ? &scratch : nullptr);
+      args.begin = begin;
+      args.end = end;
+      got->assign(f.cells, 7);
+      CountPlanN(args);
+      EXPECT_EQ(*got, want) << "arity " << domains.size()
+                            << (got == &striped ? " striped" : " direct");
+    }
+    uint64_t total = 0;
+    for (uint32_t c : want) total += c;
+    EXPECT_EQ(total, (end - begin) + 7 * f.cells);
+  }
 }
 
 TEST(SimdKernelsTest, CountPlanNForcedTiersAllAgree) {
-  const CountNFixture f(20'000, {7, 3, 4});
-  std::vector<uint32_t> want, scratch;
-  CountPlanNScalarRef(f.Args(want, nullptr));
-  for (const char* tier : {"off", "sse2", "avx2"}) {
-    ScopedSimdOverride cap(tier);
-    std::vector<uint32_t> direct, striped;
-    CountPlanN(f.Args(direct, nullptr));
-    CountPlanN(f.Args(striped, &scratch));
-    EXPECT_EQ(direct, want) << "tier " << tier;
-    EXPECT_EQ(striped, want) << "tier " << tier;
+  for (const auto& domains : kCountShapes) {
+    const CountNFixture f(20'003, domains);
+    std::vector<uint32_t> want, scratch;
+    CountPlanNScalarRef(f.Args(want, nullptr));
+    for (const char* tier : {"off", "avx2"}) {
+      ScopedSimdOverride cap(tier);
+      std::vector<uint32_t> direct, striped;
+      CountPlanN(f.Args(direct, nullptr));
+      CountPlanN(f.Args(striped, &scratch));
+      EXPECT_EQ(direct, want) << "tier " << tier << ", arity "
+                              << domains.size();
+      EXPECT_EQ(striped, want) << "tier " << tier << ", arity "
+                               << domains.size();
+    }
   }
+}
+
+// The arity-1 and arity-2 cases on their own, at the shapes the marginal
+// evaluator hits most often.
+
+TEST(SimdKernelsTest, CountPlanStripedMatchesDirectArity2) {
+  const CountNFixture f(10'000, {13, 9});
+  std::vector<uint32_t> direct, striped, scratch;
+  CountPlanNScalarRef(f.Args(direct, nullptr));
+  CountPlanN(f.Args(striped, &scratch));
+  EXPECT_EQ(striped, direct);
+  uint64_t total = 0;
+  for (uint32_t c : direct) total += c;
+  EXPECT_EQ(total, f.cols[0].size());
+}
+
+TEST(SimdKernelsTest, CountPlanMatchesOnRowSubsets) {
+  const CountNFixture f(10'000, {13, 9});
+  std::vector<uint32_t> direct, dispatched, scratch;
+  CountPlanNArgs ref = f.Args(direct, nullptr);
+  ref.row_idx = f.odd_rows.data();
+  ref.end = f.odd_rows.size();
+  CountPlanNScalarRef(ref);
+  CountPlanNArgs got = f.Args(dispatched, &scratch);
+  got.row_idx = f.odd_rows.data();
+  got.end = f.odd_rows.size();
+  CountPlanN(got);
+  EXPECT_EQ(dispatched, direct);
+}
+
+TEST(SimdKernelsTest, CountPlanArity1AndAccumulateSemantics) {
+  const CountNFixture f(4'096, {13});
+  std::vector<uint32_t> direct, dispatched, scratch;
+  CountPlanNArgs ref = f.Args(direct, nullptr);
+  CountPlanNArgs got = f.Args(dispatched, &scratch);
+  for (CountPlanNArgs* args : {&ref, &got}) {
+    args->begin = 17;  // non-zero offset exercises the range handling
+    args->end = f.cols[0].size() - 5;
+  }
+  direct.assign(f.cells, 7);
+  dispatched.assign(f.cells, 7);
+  CountPlanNScalarRef(ref);
+  CountPlanN(got);
+
+  // Both paths must have *added to* the pre-existing 7s, not overwritten.
+  EXPECT_EQ(dispatched, direct);
+  uint64_t total = 0;
+  for (uint32_t c : direct) total += c;
+  EXPECT_EQ(total, (ref.end - ref.begin) + 7 * f.cells);
+}
+
+TEST(SimdKernelsTest, CountPlanForcedScalarMatchesDispatch) {
+  const CountNFixture f(20'000, {13, 9});
+  std::vector<uint32_t> fast, slow, scratch_a, scratch_b;
+  CountPlanN(f.Args(fast, &scratch_a));
+  {
+    ScopedSimdOverride off("off");
+    CountPlanN(f.Args(slow, &scratch_b));
+  }
+  EXPECT_EQ(fast, slow);
 }
 
 }  // namespace

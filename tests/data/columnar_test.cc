@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -388,6 +389,49 @@ TEST_F(ColumnarTest, RefusesFlippedDataBytes) {
 TEST_F(ColumnarTest, RefusesMissingFile) {
   EXPECT_EQ(ColumnarFile::Open(path_ + ".nope").status().code(),
             StatusCode::kIoError);
+}
+
+// A server keeps dataset files mapped while they are served; rewriting one
+// must leave every open handle on the old rows. The new file is smaller, so
+// an in-place truncation would also fault reads of the old mapping.
+TEST_F(ColumnarTest, RewriteLeavesOpenFileAndDatasetIntact) {
+  const Dataset before = MakeDataset(3'000, 5);
+  const Dataset after = MakeDataset(1'000, 6);
+  ASSERT_NE(before.Fingerprint(), after.Fingerprint());
+  for (const bool zero_copy : {true, false}) {
+    ColumnarWriteOptions options;
+    options.block_rows = 512;
+    options.zero_copy_layout = zero_copy;
+    ASSERT_TRUE(WriteColumnar(before, path_, options).ok());
+    auto file = ColumnarFile::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status();
+    auto served = file->ToDataset();
+    ASSERT_TRUE(served.ok()) << served.status();
+
+    ASSERT_TRUE(WriteColumnar(after, path_, options).ok());
+
+    EXPECT_EQ(file->fingerprint(), before.Fingerprint());
+    ExpectSameContent(before, *served);
+    auto reread = file->ToDataset();  // decodes the old mapping again
+    ASSERT_TRUE(reread.ok()) << reread.status();
+    ExpectSameContent(before, *reread);
+
+    auto fresh = ReadColumnar(path_);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    ExpectSameContent(after, *fresh);
+    EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+  }
+}
+
+TEST_F(ColumnarTest, FailedWriteLeavesTargetAndNoTempFile) {
+  // The target is a directory, so the final rename fails after the temp
+  // file was fully written.
+  const std::string target = dir_.File("a_directory");
+  std::filesystem::create_directory(target);
+  const Status status = WriteColumnar(MakeDataset(100), target);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
 }
 
 }  // namespace

@@ -370,6 +370,17 @@ if [ "$mode" = perf ]; then
    ./micro_primitives \
      --benchmark_filter='BM_BatchLaplace|BM_CountPlan' \
      --benchmark_out=BENCH_KERNELS.json --benchmark_out_format=json)
+  # Informational, never gated: the arity-3 counting pair (release-scan's
+  # marginal shape), dispatched kernel vs its pinned scalar reference.
+  awk '
+    /"name":/ { gsub(/[",]/, ""); name = $2 }
+    /"real_time":/ && !(name in t) { gsub(/,/, ""); t[name] = $2 + 0 }
+    END {
+      kern = "BM_CountPlanNKernel"; ref = "BM_CountPlanNScalarRef"
+      if ((kern in t) && (ref in t) && t[kern] > 0)
+        printf "kernel speedup %s (not gated): %.2fx (ref %.0f ns, simd %.0f ns)\n",
+               kern, t[ref] / t[kern], t[ref], t[kern]
+    }' build/bench/BENCH_KERNELS.json
   if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
      [ -z "${IREDUCT_SIMD:-}" ]; then
     awk -v min="${KERNEL_MIN_SPEEDUP:-2}" '
