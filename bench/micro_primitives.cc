@@ -53,10 +53,10 @@ simd::LaneStates BenchLaneStates() {
 void BM_BatchLaplaceKernel(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const simd::LaneStates states = BenchLaneStates();
-  std::vector<double> scales(n, 2.0);
+  const double scale = 2.0;  // one run of equal scale
   std::vector<double> out(n);
   for (auto _ : state) {
-    simd::BatchLaplace(states, scales.data(), out.data(), n);
+    simd::BatchLaplace(states, &n, &scale, 1, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -67,10 +67,10 @@ BENCHMARK(BM_BatchLaplaceKernel)->Arg(1024)->Arg(65536);
 void BM_BatchLaplaceScalarRef(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const simd::LaneStates states = BenchLaneStates();
-  std::vector<double> scales(n, 2.0);
+  const double scale = 2.0;  // one run of equal scale
   std::vector<double> out(n);
   for (auto _ : state) {
-    simd::BatchLaplaceScalarRef(states, scales.data(), out.data(), n);
+    simd::BatchLaplaceScalarRef(states, &n, &scale, 1, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

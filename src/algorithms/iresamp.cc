@@ -157,21 +157,19 @@ Result<MechanismOutput> RunIResamp(const Workload& workload,
 
     // Lines 12-17: fresh sample per query, folded into the running
     // minimum-variance estimate. Large groups draw through the vectorized
-    // batch kernels with arena-staged buffers (zero heap traffic per
-    // round); small groups keep the per-element sampler. Both paths are
-    // deterministic functions of the generator state, so the released
-    // answers depend only on the seed and the round sequence.
+    // batch kernels as one run of equal scale into an arena-staged buffer
+    // (zero heap traffic per round); small groups keep the per-element
+    // sampler. Both paths are deterministic functions of the generator
+    // state, so the released answers depend only on the seed and the
+    // round sequence.
     const QueryGroup& group = workload.group(g);
     const double w = 1.0 / (new_nominal * new_nominal);
     const size_t group_size = group.end - group.begin;
     if (group_size >= 16) {
       round_arena.Reset();
-      std::span<double> scales{round_arena.Alloc<double>(group_size),
-                               group_size};
       std::span<double> noise{round_arena.Alloc<double>(group_size),
                               group_size};
-      for (double& s : scales) s = new_nominal;
-      gen.LaplaceBatch(scales, noise);
+      gen.LaplaceBatch({&group_size, 1}, {&new_nominal, 1}, noise);
       for (uint32_t i = group.begin; i < group.end; ++i) {
         const double fresh =
             workload.true_answer(i) + noise[i - group.begin];

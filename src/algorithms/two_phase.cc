@@ -34,11 +34,14 @@ Result<MechanismOutput> RunTwoPhase(const Workload& workload,
   //   y = (λ2² · y1 + λ1² · y2) / (λ1² + λ2²).
   MechanismOutput out;
   out.answers.resize(workload.num_queries());
-  for (size_t i = 0; i < workload.num_queries(); ++i) {
-    const double l1 = scale1;
-    const double l2 = scales2[workload.group_of(i)];
-    out.answers[i] =
-        (l2 * l2 * phase1[i] + l1 * l1 * phase2[i]) / (l1 * l1 + l2 * l2);
+  const double l1 = scale1;
+  for (size_t g = 0; g < workload.num_groups(); ++g) {
+    const QueryGroup& group = workload.group(g);
+    const double l2 = scales2[g];
+    for (uint32_t i = group.begin; i < group.end; ++i) {
+      out.answers[i] =
+          (l2 * l2 * phase1[i] + l1 * l1 * phase2[i]) / (l1 * l1 + l2 * l2);
+    }
   }
   out.group_scales = std::move(scales2);
   out.epsilon_spent = params.epsilon1 + params.epsilon2;

@@ -124,12 +124,16 @@ simd::LaneStates ForkLanes(BitGen& gen) {
 
 }  // namespace
 
-void BitGen::LaplaceBatch(std::span<const double> scales,
+void BitGen::LaplaceBatch(std::span<const size_t> run_ends,
+                          std::span<const double> run_scales,
                           std::span<double> out) {
-  IREDUCT_DCHECK(scales.size() == out.size());
+  IREDUCT_DCHECK(run_ends.size() == run_scales.size());
+  IREDUCT_DCHECK(run_ends.empty() ? out.empty()
+                                  : run_ends.back() == out.size());
   if (out.empty()) return;
   const simd::LaneStates states = ForkLanes(*this);
-  simd::BatchLaplace(states, scales.data(), out.data(), out.size());
+  simd::BatchLaplace(states, run_ends.data(), run_scales.data(),
+                     run_ends.size(), out.data());
 }
 
 void BitGen::ExponentialBatch(double mean, std::span<double> out) {

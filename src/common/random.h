@@ -77,15 +77,20 @@ class BitGen {
   /// stream by exactly one draw.
   BitGen Fork();
 
-  /// Fills `out[i] = Laplace(scales[i])` through the vectorized batch
-  /// kernels (common/simd_kernels.h). The batch is drawn from four Fork()
+  /// Fills `out` with Laplace noise over runs of equal scale: run r covers
+  /// [run_ends[r-1], run_ends[r]) (run_ends[-1] = 0) and uses
+  /// run_scales[r] (see simd::BatchLaplace). The batch is drawn through the
+  /// vectorized kernels (common/simd_kernels.h) from four Fork()
   /// substreams (lane i % 4), so this stream advances by exactly
   /// kBatchLanes = 4 draws regardless of the batch size — a *different*
   /// stream than calling Laplace() per element, but deterministic: the
-  /// output depends only on this generator's state and `scales`, never on
-  /// the SIMD tier, thread count, or machine. Requires
-  /// scales.size() == out.size() and every scale > 0.
-  void LaplaceBatch(std::span<const double> scales, std::span<double> out);
+  /// output depends only on this generator's state and the per-element
+  /// scales, never on the run split, the SIMD tier, thread count, or
+  /// machine. Requires one positive scale per run, strictly increasing run
+  /// ends, and run_ends.back() == out.size().
+  void LaplaceBatch(std::span<const size_t> run_ends,
+                    std::span<const double> run_scales,
+                    std::span<double> out);
 
   /// Batch analogue of Exponential(mean) under the same four-substream
   /// contract as LaplaceBatch. Requires mean > 0.

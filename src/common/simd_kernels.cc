@@ -100,9 +100,11 @@ void CountPlanNStripedScalar(const CountPlanNArgs& a) {
 
 }  // namespace internal
 
-void BatchLaplaceScalarRef(const LaneStates& states, const double* scales,
-                           double* out, size_t n) {
-  lanes::BatchLaplaceT<lanes::PackScalar>(states, scales, out, n);
+void BatchLaplaceScalarRef(const LaneStates& states, const size_t* run_ends,
+                           const double* run_scales, size_t num_runs,
+                           double* out) {
+  lanes::BatchLaplaceT<lanes::PackScalar>(states, run_ends, run_scales,
+                                          num_runs, out);
 }
 
 void BatchExponentialScalarRef(const LaneStates& states, double mean,
@@ -110,15 +112,15 @@ void BatchExponentialScalarRef(const LaneStates& states, double mean,
   lanes::BatchExponentialT<lanes::PackScalar>(states, mean, out, n);
 }
 
-void BatchLaplace(const LaneStates& states, const double* scales, double* out,
-                  size_t n) {
+void BatchLaplace(const LaneStates& states, const size_t* run_ends,
+                  const double* run_scales, size_t num_runs, double* out) {
 #if defined(IREDUCT_SIMD_ENABLED) && defined(__x86_64__)
   if (ActiveTier() == Tier::kAvx2) {
-    internal::BatchLaplaceAvx2(states, scales, out, n);
+    internal::BatchLaplaceAvx2(states, run_ends, run_scales, num_runs, out);
     return;
   }
 #endif
-  BatchLaplaceScalarRef(states, scales, out, n);
+  BatchLaplaceScalarRef(states, run_ends, run_scales, num_runs, out);
 }
 
 void BatchExponential(const LaneStates& states, double mean, double* out,

@@ -40,14 +40,20 @@ inline constexpr size_t kBatchLanes = 4;
 /// states[lane][word]. Populated from BitGen::Fork in lane order.
 using LaneStates = std::array<std::array<uint64_t, 4>, kBatchLanes>;
 
-/// out[i] = Laplace(scales[i]) drawn from lane i % 4. Dispatches to the
-/// active tier; bit-identical to BatchLaplaceScalarRef on every tier.
-void BatchLaplace(const LaneStates& states, const double* scales, double* out,
-                  size_t n);
+/// Laplace noise over runs of equal scale. Run r covers elements
+/// [run_ends[r-1], run_ends[r]) (with run_ends[-1] = 0) and uses
+/// run_scales[r]; `out` holds run_ends[num_runs-1] elements. out[i] =
+/// Laplace(scale of i's run) drawn from lane i % 4, so the output depends
+/// on the per-element scales and never on how they are split into runs.
+/// Run ends must be strictly increasing. Dispatches to the active tier;
+/// bit-identical to BatchLaplaceScalarRef on every tier.
+void BatchLaplace(const LaneStates& states, const size_t* run_ends,
+                  const double* run_scales, size_t num_runs, double* out);
 
 /// Pinned scalar reference for BatchLaplace (ignores dispatch).
-void BatchLaplaceScalarRef(const LaneStates& states, const double* scales,
-                           double* out, size_t n);
+void BatchLaplaceScalarRef(const LaneStates& states, const size_t* run_ends,
+                           const double* run_scales, size_t num_runs,
+                           double* out);
 
 /// out[i] = Exponential(mean) drawn from lane i % 4.
 void BatchExponential(const LaneStates& states, double mean, double* out,

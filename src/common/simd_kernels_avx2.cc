@@ -15,9 +15,10 @@ namespace ireduct {
 namespace simd {
 namespace internal {
 
-void BatchLaplaceAvx2(const LaneStates& states, const double* scales,
-                      double* out, size_t n) {
-  lanes::BatchLaplaceT<lanes::PackAvx2>(states, scales, out, n);
+void BatchLaplaceAvx2(const LaneStates& states, const size_t* run_ends,
+                      const double* run_scales, size_t num_runs, double* out) {
+  lanes::BatchLaplaceT<lanes::PackAvx2>(states, run_ends, run_scales,
+                                        num_runs, out);
 }
 
 void BatchExponentialAvx2(const LaneStates& states, double mean, double* out,

@@ -11,8 +11,8 @@ namespace ireduct {
 namespace simd {
 namespace internal {
 
-void BatchLaplaceAvx2(const LaneStates& states, const double* scales,
-                      double* out, size_t n);
+void BatchLaplaceAvx2(const LaneStates& states, const size_t* run_ends,
+                      const double* run_scales, size_t num_runs, double* out);
 void BatchExponentialAvx2(const LaneStates& states, double mean, double* out,
                           size_t n);
 void CountPlanNAvx2(const CountPlanNArgs& args);

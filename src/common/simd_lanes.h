@@ -270,37 +270,56 @@ typename P::F64 ExpFromBits(typename P::U64 x, typename P::F64 neg_mean) {
 // Batch drivers
 // ---------------------------------------------------------------------------
 
+// Run r covers elements [run_ends[r-1], run_ends[r]) (run_ends[-1] = 0)
+// and draws at run_scales[r]. The run layout only decides which scale
+// each lane multiplies by: element i still takes the block-(i/4) draw of
+// lane i % 4 through the same LaplaceFromBits arithmetic, so any layout
+// with the same per-element scales gives the same bits.
 template <class P, class LaneStates>
-void BatchLaplaceT(const LaneStates& states, const double* scales,
-                   double* out, size_t n) {
+void BatchLaplaceT(const LaneStates& states, const size_t* run_ends,
+                   const double* run_scales, size_t num_runs, double* out) {
   constexpr size_t W = P::kWidth;
   constexpr size_t kGroups = kBatchLanes / W;
   XoshiroPack<P> rng[kGroups];
   for (size_t g = 0; g < kGroups; ++g) rng[g].Load(states, g * W);
 
+  const size_t n = num_runs == 0 ? 0 : run_ends[num_runs - 1];
   size_t base = 0;
-  for (; base + kBatchLanes <= n; base += kBatchLanes) {
+  size_t r = 0;
+  while (base < n) {
+    while (run_ends[r] <= base) ++r;
+    // Whole blocks inside run r share one broadcast scale.
+    const auto s = P::BroadcastF(run_scales[r]);
+    for (; base + kBatchLanes <= run_ends[r]; base += kBatchLanes) {
+      for (size_t g = 0; g < kGroups; ++g) {
+        const auto x = rng[g].Next();
+        P::StoreF(out + base + g * W, LaplaceFromBits<P>(x, s));
+      }
+    }
+    if (base == run_ends[r]) continue;
+    // A block that straddles a run end, or the final partial block: one
+    // scale per lane. All four lanes still advance once (the fixed draw
+    // contract); lanes past n compute on a padding scale of 1 and are
+    // discarded.
+    double block_scales[kBatchLanes];
+    double block_out[kBatchLanes];
+    for (size_t j = 0, q = r; j < kBatchLanes; ++j) {
+      if (base + j >= n) {
+        block_scales[j] = 1.0;
+        continue;
+      }
+      while (run_ends[q] <= base + j) ++q;
+      block_scales[j] = run_scales[q];
+    }
     for (size_t g = 0; g < kGroups; ++g) {
       const auto x = rng[g].Next();
-      const auto s = P::LoadF(scales + base + g * W);
-      P::StoreF(out + base + g * W, LaplaceFromBits<P>(x, s));
+      const auto sb = P::LoadF(block_scales + g * W);
+      P::StoreF(block_out + g * W, LaplaceFromBits<P>(x, sb));
     }
-  }
-  if (base < n) {
-    // Final partial block: all four lanes still advance once (the fixed
-    // draw contract), surplus lanes compute on a padding scale of 1 and
-    // are discarded.
-    double pad_scales[kBatchLanes];
-    double pad_out[kBatchLanes];
-    for (size_t j = 0; j < kBatchLanes; ++j) {
-      pad_scales[j] = base + j < n ? scales[base + j] : 1.0;
+    for (size_t j = 0; j < kBatchLanes && base + j < n; ++j) {
+      out[base + j] = block_out[j];
     }
-    for (size_t g = 0; g < kGroups; ++g) {
-      const auto x = rng[g].Next();
-      const auto s = P::LoadF(pad_scales + g * W);
-      P::StoreF(pad_out + g * W, LaplaceFromBits<P>(x, s));
-    }
-    for (size_t j = 0; base + j < n; ++j) out[base + j] = pad_out[j];
+    base += kBatchLanes;
   }
 }
 

@@ -36,13 +36,15 @@ Result<std::vector<ConfidenceInterval>> ConfidenceIntervals(
   }
   std::vector<ConfidenceInterval> intervals;
   intervals.reserve(output.answers.size());
-  for (size_t i = 0; i < output.answers.size(); ++i) {
-    IREDUCT_ASSIGN_OR_RETURN(
-        ConfidenceInterval interval,
-        LaplaceConfidenceInterval(output.answers[i],
-                                  output.group_scales[workload.group_of(i)],
-                                  level));
-    intervals.push_back(interval);
+  for (size_t g = 0; g < workload.num_groups(); ++g) {
+    const QueryGroup& group = workload.group(g);
+    for (uint32_t i = group.begin; i < group.end; ++i) {
+      IREDUCT_ASSIGN_OR_RETURN(
+          ConfidenceInterval interval,
+          LaplaceConfidenceInterval(output.answers[i],
+                                    output.group_scales[g], level));
+      intervals.push_back(interval);
+    }
   }
   return intervals;
 }

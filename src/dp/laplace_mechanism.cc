@@ -1,8 +1,7 @@
 #include "dp/laplace_mechanism.h"
 
 #include <cmath>
-
-#include "common/arena.h"
+#include <numeric>
 
 namespace ireduct {
 
@@ -15,11 +14,33 @@ namespace {
 // function of the seed).
 constexpr size_t kBatchThreshold = 16;
 
-// Round scratch for the noise staging buffers. Call-local lifetime only:
-// every allocation below is dead by return, so Reset-at-entry is safe.
-Arena& ScratchArena() {
-  thread_local Arena arena;
-  return arena;
+Status ValidateScales(std::span<const double> scales) {
+  for (double s : scales) {
+    if (!(s > 0) || !std::isfinite(s)) {
+      return Status::InvalidArgument("noise scales must be positive finite");
+    }
+  }
+  return Status::OK();
+}
+
+// values[i] + Laplace noise, where run r covers [run_ends[r-1],
+// run_ends[r]) at run_scales[r] and run_ends.back() == values.size().
+std::vector<double> NoisyValues(std::span<const double> values,
+                                std::span<const size_t> run_ends,
+                                std::span<const double> run_scales,
+                                BitGen& gen) {
+  const size_t n = values.size();
+  std::vector<double> noisy(n);
+  if (n >= kBatchThreshold) {
+    gen.LaplaceBatch(run_ends, run_scales, noisy);
+    for (size_t i = 0; i < n; ++i) noisy[i] += values[i];
+  } else {
+    for (size_t i = 0, r = 0; i < n; ++i) {
+      if (i == run_ends[r]) ++r;
+      noisy[i] = values[i] + gen.Laplace(run_scales[r]);
+    }
+  }
+  return noisy;
 }
 
 }  // namespace
@@ -30,22 +51,10 @@ Result<std::vector<double>> AddLaplaceNoise(std::span<const double> values,
   if (values.size() != scales.size()) {
     return Status::InvalidArgument("values/scales size mismatch");
   }
-  for (double s : scales) {
-    if (!(s > 0) || !std::isfinite(s)) {
-      return Status::InvalidArgument("noise scales must be positive finite");
-    }
-  }
-  const size_t n = values.size();
-  std::vector<double> noisy(n);
-  if (n >= kBatchThreshold) {
-    gen.LaplaceBatch(scales, noisy);
-    for (size_t i = 0; i < n; ++i) noisy[i] += values[i];
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      noisy[i] = values[i] + gen.Laplace(scales[i]);
-    }
-  }
-  return noisy;
+  IREDUCT_RETURN_NOT_OK(ValidateScales(scales));
+  std::vector<size_t> run_ends(scales.size());  // one run per element
+  std::iota(run_ends.begin(), run_ends.end(), size_t{1});
+  return NoisyValues(values, run_ends, scales, gen);
 }
 
 Result<std::vector<double>> LaplaceNoise(const Workload& workload,
@@ -54,14 +63,11 @@ Result<std::vector<double>> LaplaceNoise(const Workload& workload,
   if (group_scales.size() != workload.num_groups()) {
     return Status::InvalidArgument("one scale per group required");
   }
-  // Stage the per-query expansion in the arena instead of allocating a
-  // fresh vector every NoiseDown round.
-  Arena& arena = ScratchArena();
-  arena.Reset();
-  std::span<double> per_query =
-      arena.AllocZeroed<double>(workload.num_queries());
-  workload.PerQueryScalesInto(group_scales, per_query);
-  return AddLaplaceNoise(workload.true_answers(), per_query, gen);
+  IREDUCT_RETURN_NOT_OK(ValidateScales(group_scales));
+  std::vector<size_t> run_ends;
+  run_ends.reserve(workload.num_groups());
+  for (const QueryGroup& g : workload.groups()) run_ends.push_back(g.end);
+  return NoisyValues(workload.true_answers(), run_ends, group_scales, gen);
 }
 
 }  // namespace ireduct

@@ -29,7 +29,10 @@ Result<std::vector<double>> AddLaplaceNoise(std::span<const double> values,
 
 /// Adds Laplace noise to every true answer of `workload`, with all queries
 /// in group g using `group_scales[g]`. The release is
-/// GS(Q, Λ)-differentially private (Proposition 2).
+/// GS(Q, Λ)-differentially private (Proposition 2). The group scales are
+/// validated once each and drawn as one run per group, never expanded per
+/// query; the output equals AddLaplaceNoise over the expanded per-query
+/// scales, bit for bit.
 Result<std::vector<double>> LaplaceNoise(const Workload& workload,
                                          std::span<const double> group_scales,
                                          BitGen& gen);

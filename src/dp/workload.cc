@@ -1,5 +1,6 @@
 #include "dp/workload.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -64,13 +65,16 @@ Result<Workload> Workload::PerQuery(std::vector<double> true_answers,
 
 Workload::Workload(std::vector<double> true_answers,
                    std::vector<QueryGroup> groups)
-    : true_answers_(std::move(true_answers)), groups_(std::move(groups)) {
-  group_of_.resize(true_answers_.size());
-  for (uint32_t g = 0; g < groups_.size(); ++g) {
-    for (uint32_t i = groups_[g].begin; i < groups_[g].end; ++i) {
-      group_of_[i] = g;
-    }
-  }
+    : true_answers_(std::move(true_answers)), groups_(std::move(groups)) {}
+
+size_t Workload::group_of(size_t i) const {
+  IREDUCT_DCHECK(i < num_queries());
+  // Groups tile the queries in order: the owner is the first group whose
+  // end lies past i.
+  const auto it = std::upper_bound(
+      groups_.begin(), groups_.end(), i,
+      [](size_t q, const QueryGroup& g) { return q < g.end; });
+  return static_cast<size_t>(it - groups_.begin());
 }
 
 double Workload::Sensitivity() const {
@@ -102,20 +106,13 @@ double Workload::GeneralizedSensitivity(
 
 std::vector<double> Workload::PerQueryScales(
     std::span<const double> group_scales) const {
-  std::vector<double> scales(num_queries());
-  PerQueryScalesInto(group_scales, scales);
-  return scales;
-}
-
-void Workload::PerQueryScalesInto(std::span<const double> group_scales,
-                                  std::span<double> out) const {
   IREDUCT_DCHECK(group_scales.size() == groups_.size());
-  IREDUCT_DCHECK(out.size() == num_queries());
+  std::vector<double> scales(num_queries());
   for (size_t g = 0; g < groups_.size(); ++g) {
-    for (uint32_t i = groups_[g].begin; i < groups_[g].end; ++i) {
-      out[i] = group_scales[g];
-    }
+    std::fill(scales.begin() + groups_[g].begin,
+              scales.begin() + groups_[g].end, group_scales[g]);
   }
+  return scales;
 }
 
 }  // namespace ireduct

@@ -88,8 +88,9 @@ class Workload {
   const QueryGroup& group(size_t g) const { return groups_[g]; }
   std::span<const QueryGroup> groups() const { return groups_; }
 
-  /// Group index owning query `i`.
-  size_t group_of(size_t i) const { return group_of_[i]; }
+  /// Group index owning query `i` (binary search over the group bounds;
+  /// loop over groups() instead when visiting every query).
+  size_t group_of(size_t i) const;
 
   double true_answer(size_t i) const { return true_answers_[i]; }
   std::span<const double> true_answers() const { return true_answers_; }
@@ -110,10 +111,6 @@ class Workload {
   /// Expands per-group scales to a per-query scale vector.
   std::vector<double> PerQueryScales(
       std::span<const double> group_scales) const;
-  /// Same expansion into caller-owned storage (e.g. arena scratch);
-  /// out.size() must equal num_queries().
-  void PerQueryScalesInto(std::span<const double> group_scales,
-                          std::span<double> out) const;
   std::vector<double> PerQueryScales(
       std::initializer_list<double> group_scales) const {
     return PerQueryScales(
@@ -139,7 +136,6 @@ class Workload {
 
   std::vector<double> true_answers_;
   std::vector<QueryGroup> groups_;
-  std::vector<uint32_t> group_of_;
   SensitivityFn custom_sensitivity_;  // null: additive Σ c_g/λ_g
   std::shared_ptr<const LinearWorkload> linear_;  // null: no linear view
 };

@@ -47,11 +47,13 @@ Status WriteAnswersCsv(const Workload& workload,
   IREDUCT_ASSIGN_OR_RETURN(std::vector<ConfidenceInterval> intervals,
                            ConfidenceIntervals(workload, output, level));
   out << "query_index,group,answer,noise_scale,ci_lo,ci_hi\n";
-  for (size_t i = 0; i < output.answers.size(); ++i) {
-    const size_t g = workload.group_of(i);
-    out << i << ',' << workload.group(g).name << ',' << output.answers[i]
-        << ',' << output.group_scales[g] << ',' << intervals[i].lo << ','
-        << intervals[i].hi << '\n';
+  for (size_t g = 0; g < workload.num_groups(); ++g) {
+    const QueryGroup& group = workload.group(g);
+    for (uint32_t i = group.begin; i < group.end; ++i) {
+      out << i << ',' << group.name << ',' << output.answers[i] << ','
+          << output.group_scales[g] << ',' << intervals[i].lo << ','
+          << intervals[i].hi << '\n';
+    }
   }
   if (!out) return Status::IoError("answers CSV write failed");
   return Status::OK();

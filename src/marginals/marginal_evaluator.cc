@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <unordered_set>
 
@@ -40,6 +42,16 @@ Status ValidateSpec(const MarginalSpec& spec, size_t num_attributes) {
     }
   }
   return Status::OK();
+}
+
+// Scratch for the striped counting kernels: kBatchLanes * cells uint32s
+// from a per-thread arena. Call-local lifetime: the scratch is dead once
+// the caller's counting pass returns, so Reset-at-entry is safe even when
+// one pool worker runs several tasks.
+uint32_t* LaneScratch(size_t cells) {
+  thread_local Arena arena;
+  arena.Reset();
+  return arena.Alloc<uint32_t>(simd::kBatchLanes * cells);
 }
 
 Result<size_t> CellCount(const std::vector<uint32_t>& domain_sizes) {
@@ -89,14 +101,15 @@ Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
       strides[i] = stride;
       stride *= plan.domain_sizes[i];
     }
-    plan.terms.reserve(spec.attributes.size());
+    plan.slots.reserve(spec.attributes.size());
     for (size_t i = 0; i < spec.attributes.size(); ++i) {
       const auto it = std::lower_bound(evaluator.columns_.begin(),
                                        evaluator.columns_.end(),
                                        spec.attributes[i]);
-      plan.terms.emplace_back(
-          static_cast<uint32_t>(it - evaluator.columns_.begin()), strides[i]);
+      plan.slots.push_back(
+          static_cast<uint32_t>(it - evaluator.columns_.begin()));
     }
+    plan.strides = std::move(strides);
     plan.offset = offset;
     if (offset > (static_cast<size_t>(1) << 42) - plan.cells) {
       return Status::InvalidArgument("fused marginal table too large");
@@ -113,66 +126,50 @@ Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
   return evaluator;
 }
 
-void MarginalSetEvaluator::CountShard(const Dataset& dataset,
-                                      std::span<const uint32_t> rows,
-                                      size_t begin, size_t end,
-                                      uint32_t* counts) const {
-  // Raw column pointers for the referenced attributes only.
-  std::vector<const uint16_t*> cols;
-  cols.reserve(columns_.size());
-  for (uint32_t c : columns_) cols.push_back(dataset.column(c).data());
-  CountColumns(cols.data(), rows.empty() ? nullptr : rows.data(), begin, end,
-               counts);
+bool MarginalSetEvaluator::Striped(const SpecPlan& plan, size_t rows) {
+  // Striping only pays when the row range dwarfs a cache-resident table;
+  // small ranges and huge tables count directly into the table.
+  return rows >= 4 * plan.cells && plan.cells > 1 &&
+         plan.cells <= kMaxStripedCells;
 }
 
-void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
-                                        const uint32_t* row_idx, size_t begin,
-                                        size_t end, uint32_t* counts) const {
-  const size_t nrows = end - begin;
-
-  // Lane scratch for the striped counting kernels, sized for the widest
-  // striping-eligible plan and reused across plans. Call-local lifetime:
-  // the scratch is dead once the plan's merge into `counts` finishes, so
-  // Reset-at-entry is safe even when one pool worker runs several shards.
-  thread_local Arena scratch_arena;
-  scratch_arena.Reset();
-  uint32_t* lane_scratch = nullptr;
-  if (max_kernel_cells_ > 0) {
-    lane_scratch =
-        scratch_arena.Alloc<uint32_t>(simd::kBatchLanes * max_kernel_cells_);
-  }
-
-  // Plan-major: every plan goes through the dispatched counting kernel.
+void MarginalSetEvaluator::CountPlan(const SpecPlan& plan,
+                                     const uint16_t* const* plan_cols,
+                                     const uint32_t* row_idx, size_t begin,
+                                     size_t end, uint32_t* counts,
+                                     uint32_t* lane_scratch) {
   // Census data is Zipf-skewed, so consecutive rows keep hitting the same
   // hot cells and a naive ++table[cell] serializes on store-to-load
   // forwarding; the kernel stripes increments across four private tables
   // (and on AVX2 computes the cell indices 16 rows at a time) and merges
   // in fixed lane order. Counts are integers, so striping cannot change
-  // any total. Striping only pays when the row range dwarfs a
-  // cache-resident table; small shards and huge tables count directly
-  // into `counts`.
+  // any total.
+  simd::CountPlanNArgs args;
+  args.cols = plan_cols;
+  args.strides = plan.strides.data();
+  args.arity = plan.strides.size();
+  args.row_idx = row_idx;
+  args.begin = begin;
+  args.end = end;
+  args.counts = counts;
+  args.cells = plan.cells;
+  args.lane_scratch = Striped(plan, end - begin) ? lane_scratch : nullptr;
+  simd::CountPlanN(args);
+}
+
+void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
+                                        const uint32_t* row_idx, size_t begin,
+                                        size_t end, uint32_t* counts) const {
+  // Lane scratch sized for the widest striping-eligible plan and reused
+  // across plans.
+  uint32_t* lane_scratch =
+      max_kernel_cells_ > 0 ? LaneScratch(max_kernel_cells_) : nullptr;
   std::vector<const uint16_t*> plan_cols;
-  std::vector<size_t> plan_strides;
   for (const SpecPlan& plan : plans_) {
     plan_cols.clear();
-    plan_strides.clear();
-    for (const auto& [col, stride] : plan.terms) {
-      plan_cols.push_back(cols[col]);
-      plan_strides.push_back(stride);
-    }
-    const bool striped = nrows >= 4 * plan.cells && plan.cells > 1 &&
-                         plan.cells <= kMaxStripedCells;
-    simd::CountPlanNArgs args;
-    args.cols = plan_cols.data();
-    args.strides = plan_strides.data();
-    args.arity = plan.terms.size();
-    args.row_idx = row_idx;
-    args.begin = begin;
-    args.end = end;
-    args.counts = counts + plan.offset;
-    args.cells = plan.cells;
-    args.lane_scratch = striped ? lane_scratch : nullptr;
-    simd::CountPlanN(args);
+    for (const uint32_t slot : plan.slots) plan_cols.push_back(cols[slot]);
+    CountPlan(plan, plan_cols.data(), row_idx, begin, end,
+              counts + plan.offset, lane_scratch);
   }
 }
 
@@ -204,87 +201,121 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
   IREDUCT_METRIC_COUNT("marginals.fused_rows", n);
   const auto pass_start = std::chrono::steady_clock::now();
 
-  // One shard per worker, but never shards so small that the per-shard
-  // accumulator allocation dominates — and never more shards than the
-  // machine has cores. A pool can legitimately be wider than the CPU
-  // (callers size pools for their workload, not this pass), but extra
-  // shards on an oversubscribed machine are pure overhead: each one is a
-  // full accumulator block to allocate, fill, and merge with zero added
-  // parallelism. That overhead is exactly what pushed the fig08/09
-  // end-to-end run below 1x on single-core CI runners. Shard *count* only
-  // affects wall-clock: cell counts are integers, so merging shard blocks
-  // in any grouping yields the same totals and the final double tables are
+  // Count by marginal: each task is one (marginal, row chunk) pair that
+  // counts into a table of that marginal's size only, so the pass never
+  // holds a per-worker copy of every table. Workers are capped at the
+  // machine's cores: a pool may be wider than the CPU, and oversubscribed
+  // tasks once pushed the fig08/09 run below 1x on single-core runners.
+  // With at least 4x as many marginals as workers, one chunk per marginal
+  // keeps every worker busy; with fewer, each marginal's rows split into
+  // just enough chunks for that (at most one per worker, each of at least
+  // kMinRowsPerShard rows). Counts are integers, so any split gives tables
   // bit-identical to the sequential pass.
-  size_t num_shards = 1;
+  const size_t num_plans = plans_.size();
+  size_t workers = 1;
   if (pool != nullptr && pool->num_threads() > 1) {
-    constexpr size_t kMinRowsPerShard = 1024;
     size_t hw = std::thread::hardware_concurrency();
     if (hw == 0) hw = pool->num_threads();
-    num_shards = std::min<size_t>(
-        std::min<size_t>(pool->num_threads(), hw),
-        std::max<size_t>(1, n / kMinRowsPerShard));
+    workers = std::min<size_t>(pool->num_threads(), hw);
+  }
+  size_t chunks = 1;
+  if (workers > 1 && num_plans > 0 && num_plans < 4 * workers) {
+    constexpr size_t kMinRowsPerShard = 1024;
+    chunks = std::min({(4 * workers + num_plans - 1) / num_plans, workers,
+                       std::max<size_t>(1, n / kMinRowsPerShard)});
   }
 
-  std::vector<uint64_t> totals(total_cells_, 0);
-  if (num_shards <= 1) {
-    std::vector<uint32_t> counts(total_cells_, 0);
-    CountShard(dataset, rows, 0, n, counts.data());
-    for (size_t c = 0; c < total_cells_; ++c) totals[c] = counts[c];
+  struct PlanCounts {
+    std::vector<std::vector<uint32_t>> chunk_counts;
+    std::atomic<size_t> pending{0};
+    std::vector<double> counts;
+  };
+  std::vector<PlanCounts> results(num_plans);
+  const uint32_t* row_idx = rows.empty() ? nullptr : rows.data();
+  const auto count_task = [&](size_t p, size_t c) {
+    const SpecPlan& plan = plans_[p];
+    PlanCounts& result = results[p];
+    const size_t begin = n * c / chunks;
+    const size_t end = n * (c + 1) / chunks;
+    std::vector<const uint16_t*> plan_cols;
+    for (const uint32_t a : plan.spec.attributes) {
+      plan_cols.push_back(dataset.column(a).data());
+    }
+    std::vector<uint32_t>& table = result.chunk_counts[c];
+    table.assign(plan.cells, 0);
+    CountPlan(plan, plan_cols.data(), row_idx, begin, end, table.data(),
+              Striped(plan, end - begin) ? LaneScratch(plan.cells) : nullptr);
+    // The last chunk to finish merges the marginal in fixed chunk order
+    // (in uint32, which holds any count below 2^32 rows, the bound a
+    // single-chunk pass already has) and writes its doubles once.
+    // Integer-valued, < 2^53: exactly the doubles the sequential += 1.0
+    // accumulation of Marginal::Compute produces.
+    if (result.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    std::vector<uint32_t>& total = result.chunk_counts[0];
+    for (size_t k = 1; k < chunks; ++k) {
+      const uint32_t* src = result.chunk_counts[k].data();
+      for (size_t cell = 0; cell < plan.cells; ++cell) total[cell] += src[cell];
+    }
+    result.counts.assign(total.begin(), total.end());
+    result.chunk_counts = {};
+  };
+  for (PlanCounts& result : results) {
+    result.chunk_counts.resize(chunks);
+    result.pending.store(chunks, std::memory_order_relaxed);
+  }
+
+  if (workers <= 1) {
+    for (size_t p = 0; p < num_plans; ++p) count_task(p, 0);
   } else {
-    std::vector<std::vector<uint32_t>> shard_counts(num_shards);
-    // Each worker writes only its own slot, so the timing vector needs no
+    // Largest tables first, so the small ones fill in behind them.
+    std::vector<size_t> order(num_plans);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+      return plans_[a].cells > plans_[b].cells;
+    });
+    // Each task writes only its own slot, so the timing vector needs no
     // lock; it is read after Wait() establishes the happens-before edge.
-    std::vector<double> shard_seconds(num_shards, 0);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const size_t begin = n * s / num_shards;
-      const size_t end = n * (s + 1) / num_shards;
-      pool->Submit([this, &dataset, rows, begin, end, &shard_counts,
-                    &shard_seconds, s] {
-        const auto shard_start = std::chrono::steady_clock::now();
-        shard_counts[s].assign(total_cells_, 0);
-        CountShard(dataset, rows, begin, end, shard_counts[s].data());
-        shard_seconds[s] = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - shard_start)
-                               .count();
-      });
+    std::vector<double> task_seconds(num_plans * chunks, 0);
+    for (const size_t p : order) {
+      for (size_t c = 0; c < chunks; ++c) {
+        pool->Submit([&count_task, &task_seconds, p, c, chunks] {
+          const auto task_start = std::chrono::steady_clock::now();
+          count_task(p, c);
+          task_seconds[p * chunks + c] =
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            task_start)
+                  .count();
+        });
+      }
     }
     pool->Wait();
 #if IREDUCT_ENABLE_TRACING
-    if (obs::MetricsRegistry::enabled()) {
+    if (obs::MetricsRegistry::enabled() && !task_seconds.empty()) {
       double total_seconds = 0;
       double max_seconds = 0;
-      for (const double s : shard_seconds) {
+      for (const double s : task_seconds) {
         IREDUCT_METRIC_OBSERVE("marginals.shard_seconds", s);
         total_seconds += s;
         max_seconds = std::max(max_seconds, s);
       }
-      const double mean_seconds = total_seconds / num_shards;
-      // max/mean ≈ 1 means even shards; > 1 quantifies straggler loss.
+      const double mean_seconds = total_seconds / task_seconds.size();
+      // max/mean over tasks: ≈ 1 means even tasks; larger means one table
+      // dominates the pass (largest-first submission starts it first).
       if (mean_seconds > 0) {
         IREDUCT_METRIC_GAUGE_SET("marginals.shard_imbalance",
                                  max_seconds / mean_seconds);
       }
     }
 #endif
-    // Fixed shard order; with integer counts any order gives the same sum.
-    for (size_t s = 0; s < num_shards; ++s) {
-      const uint32_t* src = shard_counts[s].data();
-      for (size_t c = 0; c < total_cells_; ++c) totals[c] += src[c];
-    }
   }
 
   std::vector<Marginal> marginals;
-  marginals.reserve(plans_.size());
-  for (const SpecPlan& plan : plans_) {
-    std::vector<double> counts(plan.cells);
-    for (size_t c = 0; c < plan.cells; ++c) {
-      // Integer-valued, < 2^53: exactly the double the sequential += 1.0
-      // accumulation of Marginal::Compute produces.
-      counts[c] = static_cast<double>(totals[plan.offset + c]);
-    }
+  marginals.reserve(num_plans);
+  for (size_t p = 0; p < num_plans; ++p) {
+    const SpecPlan& plan = plans_[p];
     IREDUCT_ASSIGN_OR_RETURN(
         Marginal m, Marginal::FromCounts(plan.spec, plan.domain_sizes,
-                                         std::move(counts)));
+                                         std::move(results[p].counts)));
     marginals.push_back(std::move(m));
   }
   const double pass_seconds =

@@ -7,14 +7,14 @@
 // row-sharded pass over the columnar Dataset: each row's attribute codes
 // are loaded once and folded into all marginals that reference them.
 //
-// Parallelism and determinism: with a ThreadPool the row range is split
-// into one shard per worker, each shard counts into its own uint32
-// accumulator block, and the blocks are merged in fixed shard order.
-// Because cell counts are integers (every row contributes exactly +1 to
-// one cell per marginal), integer merging is associative and the final
-// double tables are bit-identical to sequential Marginal::Compute at any
-// thread count — the evaluation-layer analogue of the BitGen::Fork
-// substream discipline the batched iReduct rounds use.
+// Parallelism and determinism: with a ThreadPool, Compute runs one task per
+// (marginal, row chunk) pair, largest tables first; each task counts into a
+// uint32 table of its marginal's size only, and a marginal's chunks merge
+// in fixed chunk order. Because cell counts are integers (every row
+// contributes exactly +1 to one cell per marginal), integer merging is
+// associative and the final double tables are bit-identical to sequential
+// Marginal::Compute at any thread count — the evaluation-layer analogue of
+// the BitGen::Fork substream discipline the batched iReduct rounds use.
 #ifndef IREDUCT_MARGINALS_MARGINAL_EVALUATOR_H_
 #define IREDUCT_MARGINALS_MARGINAL_EVALUATOR_H_
 
@@ -43,8 +43,9 @@ class MarginalSetEvaluator {
                                              std::vector<MarginalSpec> specs);
 
   /// Counts every marginal over `dataset` (restricted to `rows` when
-  /// non-empty) in one pass. With a non-null `pool` the pass is sharded
-  /// across its workers; the result is bit-identical to per-spec
+  /// non-empty). With a non-null `pool` the marginals (split into row
+  /// chunks when there are few of them) count in parallel on its workers,
+  /// holding one copy of the cells; the result is bit-identical to per-spec
   /// Marginal::Compute regardless of `pool` and its size. The dataset must
   /// have at least as many attributes as the plan's schema, with domain
   /// sizes no smaller than planned.
@@ -73,22 +74,30 @@ class MarginalSetEvaluator {
   struct SpecPlan {
     MarginalSpec spec;
     std::vector<uint32_t> domain_sizes;  // aligned with spec.attributes
-    // Fused terms: for each attribute, (index into columns_, row-major
-    // stride). cell = offset + sum(stride * row_value[column]).
-    std::vector<std::pair<uint32_t, size_t>> terms;
+    // Per attribute: its index into columns_ and its row-major stride.
+    // cell = sum(strides[k] * row_value[attribute k]).
+    std::vector<uint32_t> slots;
+    std::vector<size_t> strides;
     size_t offset = 0;  // start of this marginal's block in the flat table
     size_t cells = 0;
   };
 
   MarginalSetEvaluator() = default;
 
-  // Counts `rows[begin..end)` (or raw row range when `rows` is empty) into
-  // `counts` (size total_cells_).
-  void CountShard(const Dataset& dataset, std::span<const uint32_t> rows,
-                  size_t begin, size_t end, uint32_t* counts) const;
+  // Whether counting `rows` rows of `plan` stripes across lane scratch.
+  static bool Striped(const SpecPlan& plan, size_t rows);
 
-  // Shared counting core: `cols[i]` is the code pointer for columns_[i]
-  // (a full dataset column, or one decoded block in the streaming pass).
+  // Counts rows [begin, end) (positions in `row_idx`, or raw rows when it
+  // is null) of one plan into its table `counts`. `plan_cols[k]` is the
+  // code pointer for the plan's k-th attribute; `lane_scratch` holds
+  // kBatchLanes * plan.cells entries, or is null when !Striped.
+  static void CountPlan(const SpecPlan& plan, const uint16_t* const* plan_cols,
+                        const uint32_t* row_idx, size_t begin, size_t end,
+                        uint32_t* counts, uint32_t* lane_scratch);
+
+  // Streaming counting core: every plan over one block. `cols[i]` is the
+  // code pointer for columns_[i]; `counts` is the flat table (size
+  // total_cells_).
   void CountColumns(const uint16_t* const* cols, const uint32_t* row_idx,
                     size_t begin, size_t end, uint32_t* counts) const;
 
@@ -97,8 +106,8 @@ class MarginalSetEvaluator {
   size_t total_cells_ = 0;
   size_t num_schema_attributes_ = 0;
   // Largest cell count among striping-eligible plans (any arity, capped so
-  // the scratch stays cache-resident); sizes the per-shard lane scratch
-  // for the striped counting kernels.
+  // the scratch stays cache-resident); sizes the streaming pass's per-shard
+  // lane scratch for the striped counting kernels.
   size_t max_kernel_cells_ = 0;
 };
 

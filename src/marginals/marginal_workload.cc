@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace ireduct {
 
 namespace {
@@ -17,21 +19,42 @@ Result<MarginalWorkload> MarginalWorkload::Create(
   if (marginals.empty()) {
     return Status::InvalidArgument("need at least one marginal");
   }
+  size_t total_cells = 0;
+  for (const Marginal& m : marginals) total_cells += m.num_cells();
   std::vector<double> answers;
+  answers.reserve(total_cells);
   std::vector<QueryGroup> groups;
+  groups.reserve(marginals.size());
+  std::vector<Shape> shapes;
+  shapes.reserve(marginals.size());
   uint32_t offset = 0;
   for (size_t i = 0; i < marginals.size(); ++i) {
-    const Marginal& m = marginals[i];
+    // Taken out of the vector so its counts are freed as soon as they are
+    // copied: the cells are held once, not twice, while the flat answer
+    // vector fills.
+    const Marginal m = std::move(marginals[i]);
     answers.insert(answers.end(), m.counts().begin(), m.counts().end());
     const uint32_t cells = static_cast<uint32_t>(m.num_cells());
     groups.push_back(QueryGroup{"M" + std::to_string(i), offset,
                                 offset + cells, kMarginalSensitivity});
+    shapes.push_back(Shape{m.spec(), m.domain_sizes()});
     offset += cells;
   }
   IREDUCT_ASSIGN_OR_RETURN(
       Workload workload, Workload::Create(std::move(answers),
                                           std::move(groups)));
-  return MarginalWorkload(std::move(marginals), std::move(workload));
+  return MarginalWorkload(std::move(shapes), std::move(workload));
+}
+
+Marginal MarginalWorkload::marginal(size_t i) const {
+  const QueryGroup& group = workload_.group(i);
+  const std::span<const double> counts =
+      workload_.true_answers().subspan(group.begin, group.size());
+  Result<Marginal> m =
+      Marginal::FromCounts(shapes_[i].spec, shapes_[i].domain_sizes,
+                           std::vector<double>(counts.begin(), counts.end()));
+  IREDUCT_CHECK(m.ok());  // the shape came from a valid Marginal
+  return std::move(m).value();
 }
 
 Result<std::vector<Marginal>> MarginalWorkload::ToMarginals(
@@ -40,16 +63,16 @@ Result<std::vector<Marginal>> MarginalWorkload::ToMarginals(
     return Status::InvalidArgument("answer vector size mismatch");
   }
   std::vector<Marginal> noisy;
-  noisy.reserve(marginals_.size());
-  size_t offset = 0;
-  for (const Marginal& m : marginals_) {
-    std::vector<double> counts(answers.begin() + offset,
-                               answers.begin() + offset + m.num_cells());
+  noisy.reserve(shapes_.size());
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    const QueryGroup& group = workload_.group(i);
+    std::vector<double> counts(answers.begin() + group.begin,
+                               answers.begin() + group.end);
     IREDUCT_ASSIGN_OR_RETURN(
         Marginal rebuilt,
-        Marginal::FromCounts(m.spec(), m.domain_sizes(), std::move(counts)));
+        Marginal::FromCounts(shapes_[i].spec, shapes_[i].domain_sizes,
+                             std::move(counts)));
     noisy.push_back(std::move(rebuilt));
-    offset += m.num_cells();
   }
   return noisy;
 }
@@ -58,9 +81,9 @@ Result<LinearWorkload> MarginalWorkload::ToLinear(const Dataset& dataset,
                                                   size_t max_cells) const {
   // Union of attributes across all marginals, sorted.
   std::vector<uint32_t> attrs;
-  for (const Marginal& m : marginals_) {
-    attrs.insert(attrs.end(), m.spec().attributes.begin(),
-                 m.spec().attributes.end());
+  for (const Shape& m : shapes_) {
+    attrs.insert(attrs.end(), m.spec.attributes.begin(),
+                 m.spec.attributes.end());
   }
   std::sort(attrs.begin(), attrs.end());
   attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
@@ -71,10 +94,10 @@ Result<LinearWorkload> MarginalWorkload::ToLinear(const Dataset& dataset,
                                 " not in the dataset schema");
     }
   }
-  for (const Marginal& m : marginals_) {
-    for (size_t k = 0; k < m.spec().attributes.size(); ++k) {
-      if (m.domain_sizes()[k] !=
-          schema.attribute(m.spec().attributes[k]).domain_size) {
+  for (const Shape& m : shapes_) {
+    for (size_t k = 0; k < m.spec.attributes.size(); ++k) {
+      if (m.domain_sizes[k] !=
+          schema.attribute(m.spec.attributes[k]).domain_size) {
         return Status::InvalidArgument(
             "marginal domain sizes do not match the dataset schema");
       }
@@ -113,21 +136,22 @@ Result<LinearWorkload> MarginalWorkload::ToLinear(const Dataset& dataset,
   // One 0/1 row per marginal cell, selecting the joint cells that
   // project onto it.
   SparseMatrix::Builder builder(workload_.num_queries(), cells);
-  uint32_t offset = 0;
-  for (const Marginal& m : marginals_) {
-    const size_t arity = m.spec().attributes.size();
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    const Shape& m = shapes_[i];
+    const uint32_t offset = workload_.group(i).begin;
+    const size_t arity = m.spec.attributes.size();
     std::vector<size_t> pos(arity);  // attribute position within `attrs`
     for (size_t k = 0; k < arity; ++k) {
       pos[k] = static_cast<size_t>(
           std::lower_bound(attrs.begin(), attrs.end(),
-                           m.spec().attributes[k]) -
+                           m.spec.attributes[k]) -
           attrs.begin());
     }
     std::vector<size_t> mstrides(arity);
     size_t ms = 1;
     for (size_t k = arity; k-- > 0;) {
       mstrides[k] = ms;
-      ms *= m.domain_sizes()[k];
+      ms *= m.domain_sizes[k];
     }
     for (size_t j = 0; j < cells; ++j) {
       size_t cell = 0;
@@ -137,7 +161,6 @@ Result<LinearWorkload> MarginalWorkload::ToLinear(const Dataset& dataset,
       builder.Add(offset + static_cast<uint32_t>(cell),
                   static_cast<uint32_t>(j), 1.0);
     }
-    offset += static_cast<uint32_t>(m.num_cells());
   }
   IREDUCT_ASSIGN_OR_RETURN(SparseMatrix w, std::move(builder).Build());
   return LinearWorkload::Create(std::move(w), std::move(histogram),

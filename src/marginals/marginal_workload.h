@@ -24,8 +24,10 @@ class MarginalWorkload {
   static Result<MarginalWorkload> Create(std::vector<Marginal> marginals);
 
   const Workload& workload() const { return workload_; }
-  size_t num_marginals() const { return marginals_.size(); }
-  const Marginal& marginal(size_t i) const { return marginals_[i]; }
+  size_t num_marginals() const { return shapes_.size(); }
+  /// Marginal i with its true counts, built on demand: the counts are
+  /// kept once, as group i of workload().true_answers().
+  Marginal marginal(size_t i) const;
 
   /// Rebuilds per-marginal tables from a mechanism's flat published
   /// answers (`answers.size()` must equal the workload's query count).
@@ -46,10 +48,17 @@ class MarginalWorkload {
                                   size_t max_cells = size_t{1} << 20) const;
 
  private:
-  MarginalWorkload(std::vector<Marginal> marginals, Workload workload)
-      : marginals_(std::move(marginals)), workload_(std::move(workload)) {}
+  // What a marginal is, without its counts. Marginal i's cells are group
+  // i of the workload.
+  struct Shape {
+    MarginalSpec spec;
+    std::vector<uint32_t> domain_sizes;  // aligned with spec.attributes
+  };
 
-  std::vector<Marginal> marginals_;
+  MarginalWorkload(std::vector<Shape> shapes, Workload workload)
+      : shapes_(std::move(shapes)), workload_(std::move(workload)) {}
+
+  std::vector<Shape> shapes_;
   Workload workload_;
 };
 

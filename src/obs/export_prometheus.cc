@@ -51,8 +51,8 @@ std::string_view MetricHelp(std::string_view name) {
           {"marginals.fused_rows", "Rows scanned by fused marginal passes"},
           {"marginals.fused_seconds", "Fused marginal pass latency"},
           {"marginals.rows_per_second", "Rows/s of the last fused marginal pass"},
-          {"marginals.shard_imbalance", "Max/mean shard time ratio of the last fused pass"},
-          {"marginals.shard_seconds", "Per-shard fused marginal pass latency"},
+          {"marginals.shard_imbalance", "Max/mean task time ratio of the last fused pass"},
+          {"marginals.shard_seconds", "Per-task fused marginal pass latency"},
           {"noise_down.envelope_draws", "NoiseDown rejection-sampler envelope draws"},
           {"noise_down.rejection_rounds", "NoiseDown rejection-sampler rounds"},
           {"noise_down.samples", "NoiseDown correlated re-samples"},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <string>
@@ -30,6 +31,34 @@ std::vector<double> VariedScales(size_t n) {
     scales[i] = 0.25 + static_cast<double>(i % 7);
   }
   return scales;
+}
+
+// A batch-Laplace run layout: run r ends at ends[r] with scale scales[r].
+struct Runs {
+  std::vector<size_t> ends;
+  std::vector<double> scales;
+  size_t size() const { return ends.empty() ? 0 : ends.back(); }
+};
+
+// One run per element: the per-element form every run layout expands to.
+Runs OneRunPerElement(const std::vector<double>& scales) {
+  Runs runs;
+  for (size_t i = 0; i < scales.size(); ++i) {
+    runs.ends.push_back(i + 1);
+    runs.scales.push_back(scales[i]);
+  }
+  return runs;
+}
+
+void BatchLaplace(const LaneStates& states, const Runs& runs, double* out) {
+  simd::BatchLaplace(states, runs.ends.data(), runs.scales.data(),
+                     runs.ends.size(), out);
+}
+
+void BatchLaplaceScalarRef(const LaneStates& states, const Runs& runs,
+                           double* out) {
+  simd::BatchLaplaceScalarRef(states, runs.ends.data(), runs.scales.data(),
+                              runs.ends.size(), out);
 }
 
 // Bitwise comparison: double equality would let a +0.0 / -0.0 divergence
@@ -78,10 +107,10 @@ TEST(SimdKernelsTest, BatchLaplaceMatchesScalarRefBitForBit) {
   for (const uint64_t seed : {1ull, 42ull, 9001ull}) {
     for (const size_t n : kSizes) {
       const LaneStates states = StatesFromSeed(seed);
-      const std::vector<double> scales = VariedScales(n);
+      const Runs scales = OneRunPerElement(VariedScales(n));
       std::vector<double> got(n), want(n);
-      BatchLaplace(states, scales.data(), got.data(), n);
-      BatchLaplaceScalarRef(states, scales.data(), want.data(), n);
+      BatchLaplace(states, scales, got.data());
+      BatchLaplaceScalarRef(states, scales, want.data());
       ExpectBitEqual(got, want, "BatchLaplace");
     }
   }
@@ -106,10 +135,12 @@ TEST(SimdKernelsTest, BatchOutputIsPrefixStableAcrossLengths) {
   const LaneStates states = StatesFromSeed(7);
   const std::vector<double> scales = VariedScales(1001);
   std::vector<double> full(1001);
-  BatchLaplace(states, scales.data(), full.data(), full.size());
+  BatchLaplace(states, OneRunPerElement(scales), full.data());
   for (const size_t n : {1ul, 5ul, 64ul, 999ul}) {
     std::vector<double> part(n);
-    BatchLaplace(states, scales.data(), part.data(), n);
+    BatchLaplace(states,
+                 OneRunPerElement({scales.begin(), scales.begin() + n}),
+                 part.data());
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(std::bit_cast<uint64_t>(part[i]),
                 std::bit_cast<uint64_t>(full[i]))
@@ -123,11 +154,71 @@ TEST(SimdKernelsTest, ForcedScalarOverrideDispatchesScalarTier) {
   EXPECT_EQ(ActiveTier(), Tier::kScalar);
 
   const LaneStates states = StatesFromSeed(3);
-  const std::vector<double> scales = VariedScales(257);
+  const Runs scales = OneRunPerElement(VariedScales(257));
   std::vector<double> got(257), want(257);
-  BatchLaplace(states, scales.data(), got.data(), got.size());
-  BatchLaplaceScalarRef(states, scales.data(), want.data(), want.size());
+  BatchLaplace(states, scales, got.data());
+  BatchLaplaceScalarRef(states, scales, want.data());
   ExpectBitEqual(got, want, "forced-scalar BatchLaplace");
+}
+
+// Runs of the given lengths, cycled until they cover n elements (the last
+// run is cut at n); run r's scale varies with r.
+Runs CycledRuns(const std::vector<size_t>& lengths, size_t n) {
+  Runs runs;
+  for (size_t end = 0, r = 0; end < n; ++r) {
+    end = std::min(n, end + lengths[r % lengths.size()]);
+    runs.ends.push_back(end);
+    runs.scales.push_back(0.5 + static_cast<double>(r % 5) * 1.75);
+  }
+  return runs;
+}
+
+std::vector<double> Expand(const Runs& runs) {
+  std::vector<double> scales;
+  for (size_t r = 0, i = 0; r < runs.ends.size(); ++r) {
+    for (; i < runs.ends[r]; ++i) scales.push_back(runs.scales[r]);
+  }
+  return scales;
+}
+
+// The run-length kernel on each forced tier must equal the per-element
+// reference (every run expanded to one run per element) bit for bit:
+// runs of length 1-5 and 17, one run over the whole batch, runs that end
+// mid-block, batch sizes around the 16-element batch threshold, and a
+// partial final block. Both sides share the kernel's per-lane scale
+// lookup, so each element is also checked against scale * (the same draw
+// at scale 1): LaplaceFromBits rounds once, in (±scale) * log, so the two
+// are the same double.
+TEST(SimdKernelsTest, RunLengthBatchLaplaceMatchesExpandedReference) {
+  const std::vector<std::vector<size_t>> kPatterns = {
+      {1}, {2}, {3}, {4}, {5}, {17}, {1, 2, 3, 4, 5, 17}, {6, 3, 9, 2}};
+  const size_t kBatch[] = {1, 2, 3, 4, 5, 15, 16, 17, 63, 1001};
+  for (const char* tier : {"scalar", "avx2"}) {
+    ScopedSimdOverride cap(tier);
+    for (const uint64_t seed : {5ull, 77ull}) {
+      const LaneStates states = StatesFromSeed(seed);
+      for (const size_t n : kBatch) {
+        std::vector<double> unit(n);
+        BatchLaplaceScalarRef(states, Runs{{n}, {1.0}}, unit.data());
+        std::vector<Runs> layouts;
+        for (const auto& lengths : kPatterns) {
+          layouts.push_back(CycledRuns(lengths, n));
+        }
+        layouts.push_back(CycledRuns({n}, n));  // a single run
+        for (const Runs& runs : layouts) {
+          ASSERT_EQ(runs.size(), n);
+          std::vector<double> got(n), want(n);
+          BatchLaplace(states, runs, got.data());
+          const std::vector<double> scales = Expand(runs);
+          BatchLaplaceScalarRef(states, OneRunPerElement(scales),
+                                want.data());
+          ExpectBitEqual(got, want, tier);
+          for (size_t i = 0; i < n; ++i) want[i] = scales[i] * unit[i];
+          ExpectBitEqual(got, want, tier);
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdKernelsTest, OverrideCapsButNeverExceedsDetection) {
@@ -150,8 +241,8 @@ TEST(SimdKernelsTest, OverrideCapsButNeverExceedsDetection) {
 TEST(SimdKernelsTest, LaplaceBatchAdvancesParentByExactlyFourDraws) {
   for (const size_t n : {1ul, 5ul, 1000ul}) {
     BitGen batched(123), manual(123);
-    std::vector<double> scales(n, 2.0), out(n);
-    batched.LaplaceBatch(scales, out);
+    std::vector<double> scales(1, 2.0), out(n);
+    batched.LaplaceBatch(std::vector<size_t>{n}, scales, out);
     for (size_t i = 0; i < kBatchLanes; ++i) manual.Fork();
     for (int i = 0; i < 16; ++i) {
       ASSERT_EQ(batched(), manual()) << "after batch of " << n;
@@ -165,8 +256,9 @@ TEST(SimdKernelsTest, BatchLaplaceMatchesDistributionMoments) {
   constexpr size_t kSamples = 200'000;
   const double scale = 3.0;
   BitGen gen(2011);
-  std::vector<double> scales(kSamples, scale), sample(kSamples);
-  gen.LaplaceBatch(scales, sample);
+  std::vector<double> sample(kSamples);
+  gen.LaplaceBatch(std::vector<size_t>{kSamples}, std::vector<double>{scale},
+                   sample);
   const SampleSummary s = Summarize(sample);
   EXPECT_NEAR(s.mean, 0.0, 0.05);
   EXPECT_NEAR(s.variance, 2 * scale * scale, 0.5);

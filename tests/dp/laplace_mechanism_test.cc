@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "eval/stats.h"
@@ -79,6 +82,49 @@ TEST(LaplaceMechanismTest, DeterministicGivenSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+// Noise drawn from per-group scales equals noise drawn from the expanded
+// per-query scales, bit for bit, on both sides of the 16-query batch
+// threshold and for groups that end mid-block.
+TEST(LaplaceMechanismTest, GroupScalesMatchExpandedPerQueryScales) {
+  for (const size_t n : {15u, 16u, 17u, 64u}) {
+    for (const uint32_t group_size : {1u, 3u, 5u, 17u}) {
+      std::vector<double> truth(n);
+      for (size_t i = 0; i < n; ++i) truth[i] = 10.0 * i;
+      std::vector<QueryGroup> groups;
+      std::vector<double> group_scales;
+      for (uint32_t begin = 0; begin < n; begin += group_size) {
+        const uint32_t end =
+            std::min<uint32_t>(static_cast<uint32_t>(n), begin + group_size);
+        groups.push_back(QueryGroup{"g", begin, end, 1.0});
+        group_scales.push_back(1.0 + 0.5 * static_cast<double>(groups.size()));
+      }
+      auto w = Workload::Create(truth, groups);
+      ASSERT_TRUE(w.ok());
+      BitGen g1(31), g2(31);
+      auto grouped = LaplaceNoise(*w, group_scales, g1);
+      auto expanded =
+          AddLaplaceNoise(truth, w->PerQueryScales(group_scales), g2);
+      ASSERT_TRUE(grouped.ok() && expanded.ok());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>((*grouped)[i]),
+                  std::bit_cast<uint64_t>((*expanded)[i]))
+            << "n=" << n << " group_size=" << group_size << " i=" << i;
+      }
+      EXPECT_EQ(g1(), g2());
+    }
+  }
+}
+
+TEST(LaplaceMechanismTest, RejectsNonPositiveGroupScales) {
+  auto w = Workload::Create({1, 2, 3}, {QueryGroup{"a", 0, 2, 1.0},
+                                        QueryGroup{"b", 2, 3, 1.0}});
+  ASSERT_TRUE(w.ok());
+  BitGen gen(1);
+  EXPECT_FALSE(LaplaceNoise(*w, std::vector<double>{1.0, 0.0}, gen).ok());
+  EXPECT_FALSE(LaplaceNoise(*w, std::vector<double>{-1.0, 1.0}, gen).ok());
+  EXPECT_FALSE(LaplaceNoise(*w, std::vector<double>{1.0}, gen).ok());
 }
 
 }  // namespace

@@ -195,5 +195,73 @@ TEST(MarginalEvaluatorTest, EmptySpecSetAndEmptyDataset) {
   EXPECT_TRUE(none->empty());
 }
 
+// Fewer marginals than 4x the workers: each marginal's rows split into
+// chunks that count into their own tables and merge in chunk order. Every
+// grouping must still equal per-spec Marginal::Compute, on all rows, on a
+// row subset, and on a subset too small to split.
+TEST(MarginalEvaluatorTest, FewMarginalsSplitIntoRowChunksBitIdentically) {
+  CensusConfig config;
+  config.rows = 20'000;
+  auto dataset = GenerateCensus(config);
+  ASSERT_TRUE(dataset.ok());
+  const std::vector<MarginalSpec> kSpecs = {
+      MarginalSpec{{kState, kOccupation}}, MarginalSpec{{kAge}},
+      MarginalSpec{{kGender, kRace, kEducation}},
+      MarginalSpec{{kMaritalStatus, kClassOfWorker}},
+      MarginalSpec{{kBirthPlace}}};
+  std::vector<uint32_t> third;
+  for (uint32_t r = 1; r < dataset->num_rows(); r += 3) third.push_back(r);
+  const std::vector<uint32_t> tiny(third.begin(), third.begin() + 100);
+  for (const size_t count : {1u, 2u, 3u, 5u}) {
+    const std::vector<MarginalSpec> specs(kSpecs.begin(),
+                                          kSpecs.begin() + count);
+    auto evaluator = MarginalSetEvaluator::Create(dataset->schema(), specs);
+    ASSERT_TRUE(evaluator.ok());
+    for (const std::span<const uint32_t> subset :
+         {std::span<const uint32_t>(), std::span<const uint32_t>(third),
+          std::span<const uint32_t>(tiny)}) {
+      std::vector<Marginal> reference;
+      for (const MarginalSpec& spec : specs) {
+        reference.push_back(
+            std::move(*Marginal::Compute(*dataset, spec, subset)));
+      }
+      for (const int width : {4, 8}) {
+        ThreadPool pool(width);
+        auto fused = evaluator->Compute(*dataset, subset, &pool);
+        ASSERT_TRUE(fused.ok()) << count << " specs, width " << width;
+        ExpectBitIdentical(*fused, reference);
+      }
+    }
+  }
+}
+
+// All 84 3-way census marginals: one task per marginal, largest first.
+TEST(MarginalEvaluatorTest, EightyFourThreeWaySpecsMatchPerMarginal) {
+  CensusConfig config;
+  config.rows = 6'000;
+  auto dataset = GenerateCensus(config);
+  ASSERT_TRUE(dataset.ok());
+  auto specs = AllKWaySpecs(dataset->schema(), 3);
+  ASSERT_TRUE(specs.ok());
+  ASSERT_EQ(specs->size(), 84u);
+  auto evaluator = MarginalSetEvaluator::Create(dataset->schema(), *specs);
+  ASSERT_TRUE(evaluator.ok());
+  std::vector<uint32_t> odd;
+  for (uint32_t r = 1; r < dataset->num_rows(); r += 2) odd.push_back(r);
+  for (const std::span<const uint32_t> rows :
+       {std::span<const uint32_t>(), std::span<const uint32_t>(odd)}) {
+    std::vector<Marginal> reference;
+    for (const MarginalSpec& spec : *specs) {
+      reference.push_back(std::move(*Marginal::Compute(*dataset, spec, rows)));
+    }
+    for (const int width : {4, 8}) {
+      ThreadPool pool(width);
+      auto fused = evaluator->Compute(*dataset, rows, &pool);
+      ASSERT_TRUE(fused.ok()) << "width " << width;
+      ExpectBitIdentical(*fused, reference);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ireduct
