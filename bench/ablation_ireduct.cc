@@ -6,9 +6,11 @@
 //
 // Part B — PickQueries policy: the Section 5.3 benefit/cost heuristic
 // (normalized per Definition 6) against (i) the literal printed Equation
-// 15 without the 1/|G_g| factor, (ii) round-robin, and (iii) "largest
-// scale first". All are equally private (none touches true answers); the
-// heuristic should win or tie.
+// 15 without the 1/|G_g| factor, (ii) the Section 4.3 max-relative-error
+// objective, and (iii) "largest scale first". All are equally private
+// (none touches true answers); the heuristic should win or tie. The two
+// bench-only rules run on Figure 4's literal loop
+// (tests/support/ireduct_reference.h); the others are RunIReduct.
 #include <iostream>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "common/numeric.h"
 #include "eval/metrics.h"
 #include "eval/table_printer.h"
+#include "support/ireduct_reference.h"
 
 namespace {
 
@@ -48,18 +51,6 @@ size_t PickPrintedEq15(const Workload& w, std::span<const double> noisy,
   return best;
 }
 
-size_t PickRoundRobin(const Workload& w, std::span<const double>,
-                      std::span<const double> scales,
-                      std::span<const uint8_t> active, double,
-                      double lambda_delta) {
-  static size_t next = 0;
-  for (size_t tries = 0; tries < w.num_groups(); ++tries) {
-    const size_t g = (next++) % w.num_groups();
-    if (active[g] && scales[g] > lambda_delta) return g;
-  }
-  return kNoGroup;
-}
-
 size_t PickLargestScale(const Workload& w, std::span<const double>,
                         std::span<const double> scales,
                         std::span<const uint8_t> active, double,
@@ -86,16 +77,21 @@ int main() {
   const double epsilon = 0.01;
   const double lambda_max = setup.lambda_max;
 
-  auto run = [&](double steps, PickGroupFn pick) {
-    MechanismFn fn = [&, steps, pick](const Workload& workload, BitGen& gen)
-        -> Result<std::vector<double>> {
+  // A null `pick` runs the product RunIReduct with `objective`; otherwise
+  // the reference loop drives the bench-only rule.
+  auto run = [&](double steps, IReductObjective objective, PickGroupFn pick) {
+    MechanismFn fn = [&, steps, objective, pick](
+                         const Workload& workload,
+                         BitGen& gen) -> Result<std::vector<double>> {
       IReductParams p;
       p.epsilon = epsilon;
       p.delta = delta;
       p.lambda_max = lambda_max;
       p.lambda_delta = lambda_max / steps;
+      p.objective = objective;
       IREDUCT_ASSIGN_OR_RETURN(MechanismOutput out,
-                               RunIReduct(workload, p, gen, pick));
+                               pick ? RunIReductNaive(workload, p, gen, pick)
+                                    : RunIReduct(workload, p, gen));
       return std::move(out.answers);
     };
     return MeasureOverallError(w, fn, delta, 1300);
@@ -106,7 +102,8 @@ int main() {
     TablePrinter table({"steps (lambda_max/lambda_delta)", "overall_error",
                         "stddev"});
     for (double steps : {10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0}) {
-      const TrialAggregate agg = run(steps, nullptr);
+      const TrialAggregate agg =
+          run(steps, IReductObjective::kOverallError, nullptr);
       table.AddRow({TablePrinter::Cell(steps, 5),
                     TablePrinter::Cell(agg.mean, 5),
                     TablePrinter::Cell(agg.stddev, 3)});
@@ -123,23 +120,21 @@ int main() {
     TablePrinter table({"policy", "overall_error", "stddev"});
     struct Policy {
       const char* name;
+      IReductObjective objective;
       PickGroupFn fn;
     };
     const std::vector<Policy> policies{
-        {"Sec 5.3 heuristic (Def 6-normalized)", nullptr},
-        {"printed Eq 15 (no 1/|G| factor)", PickPrintedEq15},
+        {"Sec 5.3 heuristic (Def 6-normalized)",
+         IReductObjective::kOverallError, nullptr},
+        {"printed Eq 15 (no 1/|G| factor)", IReductObjective::kOverallError,
+         PickPrintedEq15},
         {"max relative error (Sec 4.3 variant)",
-         [](const Workload& w, std::span<const double> noisy,
-            std::span<const double> scales, std::span<const uint8_t> act,
-            double delta, double lambda_delta) {
-           return PickGroupMaxRelativeError(w, noisy, scales, act, delta,
-                                            lambda_delta);
-         }},
-        {"round robin", PickRoundRobin},
-        {"largest scale first", PickLargestScale},
+         IReductObjective::kMaxRelativeError, nullptr},
+        {"largest scale first", IReductObjective::kOverallError,
+         PickLargestScale},
     };
     for (const Policy& policy : policies) {
-      const TrialAggregate agg = run(steps, policy.fn);
+      const TrialAggregate agg = run(steps, policy.objective, policy.fn);
       table.AddRow({policy.name, TablePrinter::Cell(agg.mean, 5),
                     TablePrinter::Cell(agg.stddev, 3)});
     }

@@ -26,6 +26,7 @@
 #include "queries/linear_workload.h"
 #include "queries/range_workload.h"
 #include "queries/strategy.h"
+#include "support/ireduct_reference.h"
 
 namespace {
 

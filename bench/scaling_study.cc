@@ -1,13 +1,14 @@
 // Scaling studies (beyond the paper's plots).
 //
 // Section 1 — iReduct engine scaling: wall-clock of the full iReduct
-// refinement loop, naive O(m) per-iteration engine vs the incremental
-// engine (O(1) GS accounting + lazy-heap selection), on single-query
-// per-group workloads with m in {10^2, 10^3, 10^4, 10^5}. Both engines
-// run at the same seed; the bench fails (nonzero exit) if their
-// epsilon_spent or overall error disagree, so the speedup numbers are
-// guaranteed to compare identical outputs. Results are written to
-// BENCH_IREDUCT_SCALING.json in the working directory.
+// refinement loop, Figure 4's literal O(m) per-iteration loop (the naive
+// reference in tests/support/ireduct_reference.h) vs RunIReduct (O(1) GS
+// accounting + lazy-heap selection), on single-query per-group workloads
+// with m in {10^2, 10^3, 10^4, 10^5}. Both run at the same seed; the bench
+// fails (nonzero exit) if their epsilon_spent, overall error or iteration
+// count disagree, so the speedup numbers are guaranteed to compare
+// identical outputs. Results are written to BENCH_IREDUCT_SCALING.json in
+// the working directory.
 //
 // Section 2 — error vs dataset cardinality: how the overall error of the
 // 1D-marginal task depends on |T| at fixed ε. The noise scale is set by ε
@@ -22,7 +23,7 @@
 //                         tools/check.sh perf smoke).
 //   SCALING_M             comma-separated list of group counts for
 //                         Section 1 (default "100,1000,10000,100000").
-//   NAIVE_MAX_M           largest m the naive engine is timed at
+//   NAIVE_MAX_M           largest m the naive reference is timed at
 //                         (default 10000; naive is quadratic, so m=10^5
 //                         would take minutes).
 //   TRIALS                Section 2 runs averaged per point (default 3).
@@ -46,6 +47,7 @@
 #include "marginals/marginal_workload.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "support/ireduct_reference.h"
 
 namespace {
 
@@ -87,11 +89,13 @@ struct EngineRun {
   uint64_t iterations = 0;
 };
 
-EngineRun TimeEngine(const Workload& w, const IReductParams& params,
-                     uint64_t seed, double delta) {
+EngineRun TimeEngine(bool naive, const Workload& w,
+                     const IReductParams& params, uint64_t seed,
+                     double delta) {
   BitGen gen(seed);
   const auto start = std::chrono::steady_clock::now();
-  auto out = RunIReduct(w, params, gen);
+  auto out = naive ? RunIReductNaive(w, params, gen)
+                   : RunIReduct(w, params, gen);
   const auto stop = std::chrono::steady_clock::now();
   IREDUCT_CHECK(out.ok());
   EngineRun run;
@@ -102,8 +106,8 @@ EngineRun TimeEngine(const Workload& w, const IReductParams& params,
   return run;
 }
 
-/// Section 1. Returns false if the two engines' outputs ever disagree or
-/// the incremental fast path demonstrably never engaged.
+/// Section 1. Returns false if the two loops' outputs ever disagree or the
+/// incremental GS fast path demonstrably never engaged.
 bool RunEngineScalingSection() {
   const size_t naive_max_m =
       static_cast<size_t>(EnvInt64("NAIVE_MAX_M", 10'000));
@@ -133,20 +137,19 @@ bool RunEngineScalingSection() {
     IReductParams params;
     // 25% budget slack over GS(λmax) = m/λmax leaves room for ~O(m)
     // admitted reductions — enough iterations to expose the per-iteration
-    // cost gap without the naive engine taking hours at m = 10^5.
+    // cost gap without the naive loop taking hours at m = 10^5.
     params.epsilon = 1.25 * static_cast<double>(m) / lambda_max;
     params.delta = delta;
     params.lambda_max = lambda_max;
     params.lambda_delta = lambda_max / 20;
 
-    const EngineRun fast = TimeEngine(w, params, seed, delta);
+    const EngineRun fast =
+        TimeEngine(/*naive=*/false, w, params, seed, delta);
 
     EngineRun naive;
     const bool ran_naive = m <= naive_max_m;
     if (ran_naive) {
-      IReductParams naive_params = params;
-      naive_params.engine = IReductEngine::kNaive;
-      naive = TimeEngine(w, naive_params, seed, delta);
+      naive = TimeEngine(/*naive=*/true, w, params, seed, delta);
       if (naive.epsilon_spent != fast.epsilon_spent ||
           naive.overall_error != fast.overall_error ||
           naive.iterations != fast.iterations) {
@@ -204,7 +207,7 @@ bool RunEngineScalingSection() {
           .value();
   if (hits_after <= hits_before) {
     std::cerr << "FAST-PATH FAILURE: ireduct.gs_incremental_hits did not "
-                 "advance — the incremental engine was never selected\n";
+                 "advance — RunIReduct never took the incremental GS path\n";
     ok = false;
   }
   writer.Key("gs_incremental_hits");

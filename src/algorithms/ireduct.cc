@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "algorithms/selection.h"
@@ -23,11 +22,11 @@ namespace ireduct {
 namespace {
 
 // When the O(1) incremental GS lands within this relative distance of ε,
-// the admit/retire decision is re-taken with a full recompute, so the
-// incremental engine's decisions are bit-identical to the naive engine's
-// even at the budget boundary. Incremental drift is bounded far below this
-// by the tracker's periodic resync, so the band is hit rarely and the
-// amortized cost stays O(1).
+// the admit/retire decision is re-taken with a full recompute, so every
+// decision is bit-identical to one taken on a from-scratch GS even at the
+// budget boundary. Incremental drift is bounded far below this by the
+// tracker's periodic resync, so the band is hit rarely and the amortized
+// cost stays O(1).
 constexpr double kAdmitGuardRel = 1e-9;
 
 Status ValidateIReductParams(const IReductParams& p) {
@@ -90,97 +89,6 @@ void RecordRetirement(obs::TraceRecorder* recorder, size_t g, double scale) {
   }
 }
 
-// The seed implementation of Figure 4 — full GS recompute and an O(n)
-// PickQueries per iteration. Retained as the parity reference and as the
-// only loop able to drive arbitrary pick_group hooks.
-Result<MechanismOutput> RunIReductNaive(const Workload& workload,
-                                        const IReductParams& params,
-                                        BitGen& gen, PickGroupFn pick_group) {
-  // Figure 4, lines 1-3: start every group at λmax; if even that violates
-  // the budget, the workload cannot be released at acceptable noise.
-  MechanismOutput out;
-  out.group_scales.assign(workload.num_groups(), params.lambda_max);
-  if (workload.GeneralizedSensitivity(out.group_scales) > params.epsilon) {
-    return Status::PrivacyBudgetExceeded(
-        "GS at lambda_max already exceeds epsilon; no release possible");
-  }
-
-  // Line 4: initial noisy answers.
-  IREDUCT_ASSIGN_OR_RETURN(out.answers,
-                           LaplaceNoise(workload, out.group_scales, gen));
-
-  // Lines 5-16: iterative noise reduction over the working set.
-  IREDUCT_SCOPED_TIMER(run_timer, "ireduct.run_seconds");
-  obs::TraceRecorder* const recorder = obs::TraceRecorder::Get();
-  std::vector<uint8_t> active(workload.num_groups(), 1);
-  for (;;) {
-    const uint64_t iter_start_us =
-        recorder != nullptr ? recorder->NowMicros() : 0;
-    size_t g;
-    {
-      IREDUCT_SCOPED_TIMER(pick_timer, "ireduct.pick_seconds");
-      g = pick_group(workload, out.answers, out.group_scales, active,
-                     params.delta, params.lambda_delta);
-    }
-    if (g == kNoGroup) break;
-    const double old_scale = out.group_scales[g];
-    const double new_scale = old_scale - params.lambda_delta;
-
-    // Lines 8-10: trial reduction, admitted only if GS stays within ε.
-    out.group_scales[g] = new_scale;
-    const double gs = workload.GeneralizedSensitivity(out.group_scales);
-    const bool fits = new_scale > 0 && gs <= params.epsilon;
-    if (!fits) {
-      // Lines 13-16: revert and retire the group.
-      out.group_scales[g] = old_scale;
-      active[g] = false;
-      RecordRetirement(recorder, g, old_scale);
-      continue;
-    }
-
-    const QueryGroup& group = workload.group(g);
-    IREDUCT_RETURN_NOT_OK(ResampleGroup(workload, group, params.reducer,
-                                        old_scale, new_scale, out.answers,
-                                        gen));
-    out.resample_calls += group.size();
-    ++out.iterations;
-    IREDUCT_METRIC_COUNT("ireduct.iterations", 1);
-    IREDUCT_METRIC_COUNT("ireduct.resample_draws", group.size());
-    if (recorder != nullptr) {
-      // One span per admitted iteration: which group was refined, the λ
-      // move, the post-resample estimated relative error of the group, and
-      // how much ε headroom the new allocation leaves.
-      recorder->AddCompleteEvent(
-          "ireduct.iteration", iter_start_us,
-          recorder->NowMicros() - iter_start_us,
-          {{"group", static_cast<double>(g)},
-           {"old_lambda", old_scale},
-           {"new_lambda", new_scale},
-           {"est_rel_error",
-            EstimatedGroupError(workload, g, out.answers, new_scale,
-                                params.delta)},
-           {"gs_headroom", params.epsilon - gs}});
-    }
-    if (obs::EventLog* events = obs::EventLog::Get()) {
-      // The naive engine refines one group per iteration, so iteration
-      // index doubles as the round index.
-      events->Emit("ireduct.move",
-                   {{"round", static_cast<uint64_t>(out.iterations)},
-                    {"group", static_cast<uint64_t>(g)},
-                    {"old_lambda", old_scale},
-                    {"new_lambda", new_scale},
-                    {"gs_after", gs}});
-    }
-  }
-
-  out.epsilon_spent = workload.GeneralizedSensitivity(out.group_scales);
-  IREDUCT_LOG(kDebug) << "iReduct finished: " << out.iterations
-                      << " iterations, " << out.resample_calls
-                      << " resample draws, epsilon spent "
-                      << out.epsilon_spent << " of " << params.epsilon;
-  return out;
-}
-
 // Captures the loop state at a completed-round boundary and delivers it to
 // the sink. epsilon_spent is the exact GS of the current scales via a
 // non-mutating full recompute — calling the tracker's Resync() here would
@@ -215,16 +123,19 @@ struct AdmittedMove {
   double gs_after;  // GS once the move is committed
 };
 
-// The near-linear engine: per iteration, an O(1) incremental GS trial and
-// an O(log m) amortized lazy-heap pick, with the per-group answer scan paid
-// only when that group is re-scored after its own resample. With
-// batch_size = 1 and num_threads = 1 this consumes the caller's generator
-// in exactly the naive engine's order and reproduces its output bit for
-// bit; batched rounds instead give every admitted group a deterministic
-// RNG substream so thread count cannot change the result.
-Result<MechanismOutput> RunIReductIncremental(const Workload& workload,
-                                              const IReductParams& params,
-                                              BitGen& gen) {
+}  // namespace
+
+// Per iteration: an O(1) incremental GS trial and an O(log m) amortized
+// lazy-heap pick, with the per-group answer scan paid only when that group
+// is re-scored after its own resample. With batch_size = 1 this consumes
+// the caller's generator in Figure 4's order and reproduces the literal
+// loop (tests/support/ireduct_reference.h) bit for bit; batched rounds
+// instead give every admitted group a deterministic RNG substream so the
+// thread count cannot change the result.
+Result<MechanismOutput> RunIReduct(const Workload& workload,
+                                   const IReductParams& params, BitGen& gen) {
+  IREDUCT_RETURN_NOT_OK(ValidateIReductParams(params));
+
   MechanismOutput out;
   std::vector<uint8_t> active(workload.num_groups(), 1);
   const RunCheckpoint* const resume = params.resume;
@@ -271,7 +182,9 @@ Result<MechanismOutput> RunIReductIncremental(const Workload& workload,
     heap.Build(out.answers, out.group_scales, active);
   }
 
-  const bool batched = params.batch_size > 1 || params.num_threads > 1;
+  // A one-move round never has work to share, so only batch_size decides
+  // batching: the thread count cannot change which draws a run makes.
+  const bool batched = params.batch_size > 1;
   std::unique_ptr<ThreadPool> pool;
   if (batched && params.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(params.num_threads);
@@ -316,7 +229,7 @@ Result<MechanismOutput> RunIReductIncremental(const Workload& workload,
         if (gs_tracker.incremental() &&
             std::fabs(gs - params.epsilon) <=
                 kAdmitGuardRel * params.epsilon) {
-          // Boundary call: decide exactly as the naive engine would.
+          // Boundary call: decide on an exact full recompute.
           gs = gs_tracker.TrialExact(g, new_scale);
         }
         const bool fits = new_scale > 0 && gs <= params.epsilon;
@@ -335,7 +248,7 @@ Result<MechanismOutput> RunIReductIncremental(const Workload& workload,
 
     if (!batched) {
       // Sequential Figure 4: resample with the caller's generator directly,
-      // matching the naive engine's draw order exactly.
+      // in the literal loop's draw order.
       const AdmittedMove& mv = round_buf[0];
       IREDUCT_RETURN_NOT_OK(
           ResampleGroup(workload, workload.group(mv.group), params.reducer,
@@ -425,51 +338,14 @@ Result<MechanismOutput> RunIReductIncremental(const Workload& workload,
   IREDUCT_METRIC_COUNT("ireduct.heap_repushes", heap.repush_count());
   IREDUCT_METRIC_COUNT("ireduct.heap_stale_pops", heap.stale_pop_count());
   // The tracker already maintains GS; one exact resync publishes the same
-  // value a from-scratch recompute would, without the naive engine's
-  // redundant per-iteration passes.
+  // value a from-scratch recompute would.
   out.epsilon_spent = gs_tracker.Resync();
-  IREDUCT_LOG(kDebug) << "iReduct finished (incremental): "
+  IREDUCT_LOG(kDebug) << "iReduct finished: "
                       << out.iterations << " iterations, "
                       << out.resample_calls << " resample draws, epsilon "
                       << "spent " << out.epsilon_spent << " of "
                       << params.epsilon;
   return out;
-}
-
-}  // namespace
-
-Result<MechanismOutput> RunIReduct(const Workload& workload,
-                                   const IReductParams& params, BitGen& gen,
-                                   PickGroupFn pick_group) {
-  IREDUCT_RETURN_NOT_OK(ValidateIReductParams(params));
-  const bool custom_hook = static_cast<bool>(pick_group);
-  if (!custom_hook && params.engine != IReductEngine::kNaive) {
-    return RunIReductIncremental(workload, params, gen);
-  }
-  if (params.checkpoint.enabled() || params.resume != nullptr) {
-    return Status::InvalidArgument(
-        "checkpoint/resume requires the incremental engine (default "
-        "pick_group and engine != kNaive)");
-  }
-  if (!pick_group) {
-    if (params.objective == IReductObjective::kMaxRelativeError) {
-      pick_group = [](const Workload& w, std::span<const double> noisy,
-                      std::span<const double> scales,
-                      std::span<const uint8_t> act, double delta,
-                      double lambda_delta) {
-        return PickGroupMaxRelativeError(w, noisy, scales, act, delta,
-                                         lambda_delta);
-      };
-    } else {
-      pick_group = [](const Workload& w, std::span<const double> noisy,
-                      std::span<const double> scales,
-                      std::span<const uint8_t> act, double delta,
-                      double lambda_delta) {
-        return PickGroupIReduct(w, noisy, scales, act, delta, lambda_delta);
-      };
-    }
-  }
-  return RunIReductNaive(workload, params, gen, std::move(pick_group));
 }
 
 }  // namespace ireduct

@@ -9,12 +9,16 @@
 // scale alone (Theorem 1). Groups whose reduction would bust the budget
 // leave the working set; the loop ends when the set is empty. The output is
 // ε-differentially private (Theorem 2).
+//
+// An iteration costs O(log m) amortized: GS is tracked incrementally
+// (dp/incremental_sensitivity.h) and PickQueries is a lazy max-heap
+// (GroupScoreHeap), so only the refined group's answers are re-scanned.
+// tests/support/ireduct_reference.h keeps Figure 4's literal O(m + n)
+// loop as the bit-for-bit parity oracle.
 #ifndef IREDUCT_ALGORITHMS_IREDUCT_H_
 #define IREDUCT_ALGORITHMS_IREDUCT_H_
 
 #include <cstddef>
-#include <functional>
-#include <span>
 
 #include "algorithms/mechanism.h"
 #include "common/random.h"
@@ -33,22 +37,8 @@ enum class NoiseReducer {
   kExactCoupling,
 };
 
-/// Inner-loop engine. The incremental path (O(log m) amortized per
-/// iteration: incremental GS accounting + lazy-heap selection) produces the
-/// same group sequence, answers, scales and epsilon_spent as the naive
-/// reference (O(m + n) per iteration) at every seed; the naive engine is
-/// retained for parity checks and as the only engine able to run arbitrary
-/// PickGroupFn hooks.
-enum class IReductEngine {
-  /// Incremental unless a custom pick_group hook forces the reference loop.
-  kAuto,
-  /// Full-GS-recompute + linear-scan reference loop (the seed behavior).
-  kNaive,
-};
-
-/// Objective of the built-in PickQueries (ignored when a custom hook is
-/// given): minimize the overall (average) relative error via the
-/// benefit/cost greedy of Section 5.3, or the maximum relative error via
+/// PickQueries objective: minimize the overall (average) relative error via
+/// the benefit/cost greedy of Section 5.3, or the maximum relative error via
 /// the worst-cell rule of Section 4.3.
 enum class IReductObjective {
   kOverallError,
@@ -66,52 +56,35 @@ struct IReductParams {
   double lambda_delta = 1.0;
   /// Resampler used to walk answers down to the reduced scale.
   NoiseReducer reducer = NoiseReducer::kPaperNoiseDown;
-  /// Inner-loop engine (see IReductEngine).
-  IReductEngine engine = IReductEngine::kAuto;
-  /// Built-in PickQueries objective (see IReductObjective).
+  /// PickQueries objective (see IReductObjective).
   IReductObjective objective = IReductObjective::kOverallError;
-  /// Batched round mode (incremental engine only): admit up to batch_size
-  /// distinct groups per round — in heap order, each tested against the
-  /// running GS — then resample them all before re-scoring. 1 reproduces
-  /// Figure 4's strictly sequential refinement exactly; see
-  /// docs/PERFORMANCE.md for how k>1 relates to k sequential iterations.
+  /// Batched round mode: admit up to batch_size distinct groups per round
+  /// — in heap order, each tested against the running GS — then resample
+  /// them all before re-scoring. 1 reproduces Figure 4's strictly
+  /// sequential refinement exactly; see docs/PERFORMANCE.md for how k>1
+  /// relates to k sequential iterations.
   size_t batch_size = 1;
   /// Worker threads for the batched round's NoiseDown resampling. Results
   /// are bit-identical for every thread count (deterministic per-group RNG
   /// substreams, drawn in admission order from the caller's generator);
-  /// values > 1 only change wall-clock time.
+  /// values > 1 only change wall-clock time, and only when batch_size > 1.
   int num_threads = 1;
-  /// Periodic durable checkpoints (incremental engine only; see
-  /// dp/checkpoint.h). Inactive by default.
+  /// Periodic durable checkpoints (see dp/checkpoint.h). Inactive by
+  /// default.
   CheckpointOptions checkpoint;
   /// Resume state from a previously loaded checkpoint (borrowed; must
   /// outlive the run). The run continues bit-identically to the
   /// interrupted one: same answers, scales, RNG stream and ε accounting.
   /// Refused when the checkpoint's algorithm or workload fingerprint does
-  /// not match. Incremental engine only.
+  /// not match.
   const RunCheckpoint* resume = nullptr;
 };
-
-/// Override hook for the PickQueries black box (Section 4.3): receives the
-/// workload, the current noisy answers, per-group scales, the active-group
-/// mask, δ and λΔ; returns the group to reduce next or kNoGroup to stop.
-/// It must not consult the true answers (that would void the privacy
-/// guarantee). The default is PickGroupIReduct (Section 5.3).
-using PickGroupFn = std::function<size_t(
-    const Workload&, std::span<const double> /*noisy_answers*/,
-    std::span<const double> /*group_scales*/, std::span<const uint8_t> /*active*/,
-    double /*delta*/, double /*lambda_delta*/)>;
 
 /// Runs Figure 4. Returns kPrivacyBudgetExceeded when even the all-λmax
 /// allocation violates ε (the pseudo-code's "return ∅" on line 3).
 /// ε-differentially private.
-///
-/// Passing a custom `pick_group` selects the naive reference loop (an
-/// arbitrary hook cannot be heap-accelerated); with the default hook the
-/// incremental engine runs unless params.engine says otherwise.
 Result<MechanismOutput> RunIReduct(const Workload& workload,
-                                   const IReductParams& params, BitGen& gen,
-                                   PickGroupFn pick_group = nullptr);
+                                   const IReductParams& params, BitGen& gen);
 
 }  // namespace ireduct
 

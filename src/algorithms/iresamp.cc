@@ -114,9 +114,8 @@ Result<MechanismOutput> RunIResamp(const Workload& workload,
 
   // Lines 6-21: iterative refinement with fresh independent samples. The
   // selection and budget test use the same O(log m) machinery as iReduct:
-  // a lazy score heap over the nominal scales (identical pick sequence to
-  // the PickGroupIResamp linear scan) and incremental GS accounting over
-  // the effective scales.
+  // a lazy score heap over the nominal scales (kIResampRatio) and
+  // incremental GS accounting over the effective scales.
   IncrementalSensitivity gs_tracker(workload, effective);
   if (resume != nullptr) gs_tracker.Restore(resume->gs);
   GroupScoreHeap heap(workload, SelectionRule::kIResampRatio, params.delta,

@@ -478,12 +478,10 @@ class IReductMechanism : public Mechanism {
          {"lambda_delta", "", "per-iteration decrement (paper: |T|/10^6)"},
          {"lambda_steps", "",
           "alternative to lambda_delta: λΔ = lambda_max/steps"},
-         {"engine", "auto",
-          "auto | incremental | naive inner loop (identical outputs)"},
          {"objective", "overall", "overall | max_rel PickQueries objective"},
          {"reducer", "noise_down",
           "noise_down | exact_coupling correlated resampler"},
-         {"batch_size", "1", "groups admitted per round (incremental only)"},
+         {"batch_size", "1", "groups admitted per round"},
          {"num_threads", "1", "workers for batched NoiseDown resampling"}}};
   }
 
@@ -535,18 +533,6 @@ class IReductMechanism : public Mechanism {
         return Status::InvalidArgument("ireduct lambda_steps must be >= 2");
       }
       params.lambda_delta = params.lambda_max / static_cast<double>(steps);
-    }
-    const std::string engine = spec.GetString("engine", "auto");
-    if (engine == "auto" || engine == "incremental") {
-      // kAuto selects the incremental engine whenever no custom pick_group
-      // hook is installed — which is always the case for spec dispatch.
-      params.engine = IReductEngine::kAuto;
-    } else if (engine == "naive") {
-      params.engine = IReductEngine::kNaive;
-    } else {
-      return Status::InvalidArgument(
-          "ireduct engine must be auto, incremental or naive (got '" +
-          engine + "')");
     }
     const std::string objective = spec.GetString("objective", "overall");
     if (objective == "overall") {

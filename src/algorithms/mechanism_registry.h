@@ -47,12 +47,12 @@ class MechanismSpec {
   explicit MechanismSpec(std::string name) : name_(std::move(name)) {}
 
   /// Parses the compact form `name` or `name:key=val,key=val,...`, e.g.
-  /// "two_phase:epsilon=1.0" or "ireduct:lambda_steps=16,engine=naive".
+  /// "two_phase:epsilon=1.0" or "ireduct:lambda_steps=16,objective=max_rel".
   /// Whitespace around tokens is ignored; duplicate keys are rejected.
   static Result<MechanismSpec> Parse(std::string_view text);
 
   /// Parses the JSON form
-  ///   {"name": "ireduct", "params": {"lambda_steps": 16, "engine": "naive"}}
+  ///   {"name": "ireduct", "params": {"lambda_steps": 16, "epsilon": 0.5}}
   /// ("params" optional; values may be strings, numbers or booleans).
   static Result<MechanismSpec> FromJson(std::string_view json);
 

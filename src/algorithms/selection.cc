@@ -153,68 +153,6 @@ double SelectionScore(const Workload& workload, SelectionRule rule, size_t g,
   return -1;  // unreachable
 }
 
-size_t PickGroupIReduct(const Workload& workload,
-                        std::span<const double> noisy_answers,
-                        std::span<const double> group_scales,
-                        std::span<const uint8_t> active, double delta,
-                        double lambda_delta) {
-  size_t best = kNoGroup;
-  double best_ratio = -1;
-  for (size_t g = 0; g < workload.num_groups(); ++g) {
-    if (!active[g]) continue;
-    const double lambda = group_scales[g];
-    if (!(lambda > lambda_delta)) continue;  // cannot reduce below zero
-    const double ratio =
-        SelectionScore(workload, SelectionRule::kIReductRatio, g,
-                       noisy_answers, lambda, delta, lambda_delta);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best = g;
-    }
-  }
-  return best;
-}
-
-size_t PickGroupMaxRelativeError(const Workload& workload,
-                                 std::span<const double> noisy_answers,
-                                 std::span<const double> group_scales,
-                                 std::span<const uint8_t> active, double delta,
-                                 double lambda_delta) {
-  size_t best = kNoGroup;
-  double worst_error = -1;
-  for (size_t g = 0; g < workload.num_groups(); ++g) {
-    if (!active[g] || !(group_scales[g] > lambda_delta)) continue;
-    const double err =
-        SelectionScore(workload, SelectionRule::kMaxRelativeError, g,
-                       noisy_answers, group_scales[g], delta, lambda_delta);
-    if (err > worst_error) {
-      worst_error = err;
-      best = g;
-    }
-  }
-  return best;
-}
-
-size_t PickGroupIResamp(const Workload& workload,
-                        std::span<const double> noisy_answers,
-                        std::span<const double> group_scales,
-                        std::span<const uint8_t> active, double delta) {
-  size_t best = kNoGroup;
-  double best_ratio = -1;
-  for (size_t g = 0; g < workload.num_groups(); ++g) {
-    if (!active[g]) continue;
-    const double ratio =
-        SelectionScore(workload, SelectionRule::kIResampRatio, g,
-                       noisy_answers, group_scales[g], delta,
-                       /*lambda_delta=*/0);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best = g;
-    }
-  }
-  return best;
-}
-
 GroupScoreHeap::GroupScoreHeap(const Workload& workload, SelectionRule rule,
                                double delta, double lambda_delta)
     : workload_(&workload),
@@ -225,7 +163,7 @@ GroupScoreHeap::GroupScoreHeap(const Workload& workload, SelectionRule rule,
 
 bool GroupScoreHeap::Reducible(double scale) const {
   // iResamp halves scales, which always stays positive; the λΔ-step rules
-  // need λ > λΔ headroom, matching the linear scans' skip condition.
+  // need λ > λΔ headroom.
   return rule_ == SelectionRule::kIResampRatio || scale > lambda_delta_;
 }
 

@@ -20,19 +20,33 @@
 
 namespace ireduct {
 
-/// Sentinel returned by the Pick* functions when no group qualifies.
+/// Sentinel returned by GroupScoreHeap::PopBest when no group qualifies.
 inline constexpr size_t kNoGroup = static_cast<size_t>(-1);
 
-/// Which PickQueries objective a score ranks groups by. The scores are the
-/// exact quantities the linear-scan Pick* functions maximize, factored out
-/// so the O(log m) heap selector below and the O(n) scans compute
-/// bit-identical doubles (and therefore identical argmaxes).
+/// Which PickQueries objective a score ranks groups by. PickQueries picks,
+/// among the active groups a rule can still reduce, the one with the
+/// highest SelectionScore. Groups are reducible under kIReductRatio and
+/// kMaxRelativeError while λ_g > λΔ, and always under kIResampRatio.
 enum class SelectionRule {
-  /// iReduct's benefit/cost ratio (Equations 15/14) — see PickGroupIReduct.
+  /// iReduct's PickQueries (Section 5.3): the ratio of estimated
+  /// overall-error decrease (Equation 15, normalized per Definition 6's
+  /// per-group averaging)
+  ///   λΔ/(|M|·|G_g|) · Σ_{j∈g} 1/max{y_j, δ}
+  /// to privacy-cost increase (Equation 14)
+  ///   c_g/(λ_g - λΔ) - c_g/λ_g.
+  /// (As printed, Equation 15 drops the 1/|G_g| factor that Definition 6
+  /// and the Section 5.2 Oracle derivation both carry; with the factor the
+  /// greedy descent provably converges to the Oracle allocation, matching
+  /// the paper's Figure 6 observation that iReduct is near-optimal.)
   kIReductRatio,
-  /// iResamp's benefit/cost ratio — see PickGroupIResamp.
+  /// iResamp's benefit/cost ratio: halving the raw sample scale λ_g raises
+  /// the group's effective privacy cost from c_g·(2/λ_g - 1/λmax) to
+  /// c_g·(4/λ_g - 1/λmax) (Appendix A geometric series), i.e. by c_g·2/λ_g.
   kIResampRatio,
-  /// Worst-cell estimated relative error — see PickGroupMaxRelativeError.
+  /// The paper's worst-case objective (Section 4.3: "if we aim to minimize
+  /// the maximum relative error, we may implement PickQueries as a function
+  /// that returns the query that maximizes λ_i/max{y_i, δ}"): the largest
+  /// estimated relative error λ_g/max{y_j, δ} over the group's cells.
   kMaxRelativeError,
 };
 
@@ -44,8 +58,8 @@ double SelectionScore(const Workload& workload, SelectionRule rule, size_t g,
                       std::span<const double> noisy_answers, double scale,
                       double delta, double lambda_delta);
 
-/// Lazy max-heap group selector — the O(log m) replacement for the linear
-/// scans in the iReduct/iResamp inner loops.
+/// Lazy max-heap group selector: PickQueries for the iReduct/iResamp inner
+/// loops in O(log m) amortized per pick, where a linear scan costs O(n).
 ///
 /// Contract: Build() scores every admissible group once; PopBest() returns
 /// the current best group and *consumes* its entry, so the caller must
@@ -54,12 +68,12 @@ double SelectionScore(const Workload& workload, SelectionRule rule, size_t g,
 /// touched (per-group epoch counters; stale heap entries are discarded on
 /// pop). Because scales only ever shrink, a group that stops being
 /// reducible (λ_g ≤ λΔ under kIReductRatio/kMaxRelativeError) is dropped
-/// for good, exactly as the linear scan would skip it forever.
+/// for good, exactly as a linear scan would skip it forever.
 ///
 /// Tie-break (deterministic): higher score wins; equal scores go to the
-/// lower group index — the same order the linear scans' strict `>`
-/// comparison yields. Combined with the shared SelectionScore this makes
-/// the heap's pick sequence identical to the scans', ties included.
+/// lower group index — the order a linear scan with a strict `>`
+/// comparison yields. The pick sequence is therefore identical to the
+/// reference scans' (tests/support/ireduct_reference.h), ties included.
 class GroupScoreHeap {
  public:
   /// `lambda_delta` is consulted only by the reducibility predicate of
@@ -138,56 +152,11 @@ Result<std::vector<double>> ProportionalScales(const Workload& workload,
                                                std::span<const double> values,
                                                double delta, double epsilon);
 
-/// iReduct's PickQueries (Section 5.3): among groups with `active[g]` and
-/// scale reducible by `lambda_delta` (λ_g > λΔ), returns the group
-/// maximizing the ratio of estimated overall-error decrease (Equation 15,
-/// normalized per Definition 6's per-group averaging)
-///   λΔ/(|M|·|G_g|) · Σ_{j∈g} 1/max{y_j, δ}
-/// to privacy-cost increase (Equation 14)
-///   c_g/(λ_g - λΔ) - c_g/λ_g.
-/// (As printed, Equation 15 drops the 1/|G_g| factor that Definition 6 and
-/// the Section 5.2 Oracle derivation both carry; with the factor the greedy
-/// descent provably converges to the Oracle allocation, matching the
-/// paper's Figure 6 observation that iReduct is near-optimal.)
-/// Returns kNoGroup when no active group is reducible.
-///
-/// This O(n) scan is the *reference* selector; the refinement loops use
-/// GroupScoreHeap, which returns the identical group sequence in O(log m)
-/// amortized (asserted by tests/algorithms/selection_heap_test.cc).
-size_t PickGroupIReduct(const Workload& workload,
-                        std::span<const double> noisy_answers,
-                        std::span<const double> group_scales,
-                        std::span<const uint8_t> active, double delta,
-                        double lambda_delta);
-
-/// iResamp's group selection: same benefit/cost rule with iResamp's moves —
-/// halving the raw sample scale λ_g raises the group's effective privacy
-/// cost from c_g·(2/λ_g - 1/λmax) to c_g·(4/λ_g - 1/λmax) (Appendix A
-/// geometric series), i.e. by c_g·2/λ_g. Returns kNoGroup when no active
-/// group remains.
-size_t PickGroupIResamp(const Workload& workload,
-                        std::span<const double> noisy_answers,
-                        std::span<const double> group_scales,
-                        std::span<const uint8_t> active, double delta);
-
 /// Estimated average relative error of group g under scale `scale`
 /// (Section 5.3): scale/|G_g| · Σ_{j∈g} 1/max{y_j, δ}.
 double EstimatedGroupError(const Workload& workload, size_t g,
                            std::span<const double> noisy_answers, double scale,
                            double delta);
-
-/// The paper's *worst-case* objective variant (Section 4.3: "if we aim to
-/// minimize the maximum relative error, we may implement PickQueries as a
-/// function that returns the query that maximizes λ_i/max{y_i, δ}"):
-/// among active, reducible groups, picks the one whose worst cell has the
-/// largest estimated relative error λ_g/max{y_j, δ}. Returns kNoGroup when
-/// none qualifies. Pass to RunIReduct to optimize max instead of overall
-/// error.
-size_t PickGroupMaxRelativeError(const Workload& workload,
-                                 std::span<const double> noisy_answers,
-                                 std::span<const double> group_scales,
-                                 std::span<const uint8_t> active, double delta,
-                                 double lambda_delta);
 
 }  // namespace ireduct
 

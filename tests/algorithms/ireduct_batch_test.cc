@@ -1,6 +1,6 @@
-// Engine-parity and batched-mode tests for RunIReduct: the incremental
-// engine must reproduce the naive reference bit for bit, and batched
-// rounds must be deterministic in the thread count.
+// Parity and batched-mode tests for RunIReduct: it must reproduce Figure
+// 4's literal loop (tests/support/ireduct_reference.h) bit for bit, and
+// its output must not depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "common/numeric.h"
 #include "dp/workload.h"
 #include "obs/metrics.h"
+#include "support/ireduct_reference.h"
 
 namespace ireduct {
 namespace {
@@ -54,11 +55,9 @@ void ExpectIdenticalOutputs(const MechanismOutput& a,
 TEST(IReductEngineParityTest, IncrementalMatchesNaiveBitForBit) {
   const Workload w = ManyGroupWorkload(40);
   for (uint64_t seed : {1, 2, 3, 4, 5}) {
-    IReductParams naive = BaseParams();
-    naive.engine = IReductEngine::kNaive;
     BitGen g1(seed), g2(seed);
-    auto a = RunIReduct(w, naive, g1);
-    auto b = RunIReduct(w, BaseParams(), g2);  // kAuto → incremental
+    auto a = RunIReductNaive(w, BaseParams(), g1);
+    auto b = RunIReduct(w, BaseParams(), g2);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ExpectIdenticalOutputs(*a, *b);
@@ -69,10 +68,8 @@ TEST(IReductEngineParityTest, MaxRelativeErrorObjectiveMatchesNaive) {
   const Workload w = ManyGroupWorkload(25);
   IReductParams p = BaseParams();
   p.objective = IReductObjective::kMaxRelativeError;
-  IReductParams naive = p;
-  naive.engine = IReductEngine::kNaive;
   BitGen g1(7), g2(7);
-  auto a = RunIReduct(w, naive, g1);
+  auto a = RunIReductNaive(w, p, g1);
   auto b = RunIReduct(w, p, g2);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -81,7 +78,7 @@ TEST(IReductEngineParityTest, MaxRelativeErrorObjectiveMatchesNaive) {
 
 TEST(IReductEngineParityTest, CustomSensitivityWorkloadFallsBackAndMatches) {
   // A custom (non-additive-typed) GS routes the tracker through full
-  // recomputes; decisions still match the naive engine exactly.
+  // recomputes; decisions still match the reference loop exactly.
   std::vector<double> answers{4, 9, 250, 800};
   std::vector<QueryGroup> groups{QueryGroup{"a", 0, 2, 2.0},
                                  QueryGroup{"b", 2, 4, 2.0}};
@@ -92,10 +89,8 @@ TEST(IReductEngineParityTest, CustomSensitivityWorkloadFallsBackAndMatches) {
   };
   auto w = Workload::CreateWithSensitivityFn(answers, groups, custom);
   ASSERT_TRUE(w.ok());
-  IReductParams naive = BaseParams();
-  naive.engine = IReductEngine::kNaive;
   BitGen g1(11), g2(11);
-  auto a = RunIReduct(*w, naive, g1);
+  auto a = RunIReductNaive(*w, BaseParams(), g1);
   auto b = RunIReduct(*w, BaseParams(), g2);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -104,19 +99,23 @@ TEST(IReductEngineParityTest, CustomSensitivityWorkloadFallsBackAndMatches) {
 
 TEST(IReductBatchTest, ThreadCountDoesNotChangeResults) {
   const Workload w = ManyGroupWorkload(40);
-  IReductParams p = BaseParams();
-  p.batch_size = 4;
-  p.num_threads = 1;
-  IReductParams parallel = p;
-  parallel.num_threads = 4;
-  for (uint64_t seed : {21, 22, 23}) {
-    BitGen g1(seed), g2(seed);
-    auto serial = RunIReduct(w, p, g1);
-    auto threaded = RunIReduct(w, parallel, g2);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(threaded.ok());
-    ExpectIdenticalOutputs(*serial, *threaded);
-    EXPECT_GT(serial->iterations, 0u);
+  for (size_t batch_size : {1, 4}) {
+    IReductParams p = BaseParams();
+    p.batch_size = batch_size;
+    p.num_threads = 1;
+    IReductParams parallel = p;
+    parallel.num_threads = 4;
+    for (uint64_t seed : {21, 22, 23}) {
+      SCOPED_TRACE(testing::Message()
+                   << "batch_size " << batch_size << " seed " << seed);
+      BitGen g1(seed), g2(seed);
+      auto serial = RunIReduct(w, p, g1);
+      auto threaded = RunIReduct(w, parallel, g2);
+      ASSERT_TRUE(serial.ok());
+      ASSERT_TRUE(threaded.ok());
+      ExpectIdenticalOutputs(*serial, *threaded);
+      EXPECT_GT(serial->iterations, 0u);
+    }
   }
 }
 

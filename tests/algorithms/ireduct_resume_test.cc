@@ -181,26 +181,6 @@ TEST(IReductResumeTest, LedgerEndsIdenticalAfterInterruption) {
   }
 }
 
-TEST(IReductResumeTest, NaiveEngineRefusesCheckpointAndResume) {
-  const Workload w = SkewedWorkload();
-  CaptureSink capture;
-  IReductParams p = BaseParams();
-  p.engine = IReductEngine::kNaive;
-  p.checkpoint.sink = &capture;
-  p.checkpoint.every = 1;
-  BitGen gen(kSeed);
-  EXPECT_EQ(RunIReduct(w, p, gen).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RunCheckpoint checkpoint;
-  checkpoint.algorithm = "ireduct";
-  IReductParams rp = BaseParams();
-  rp.engine = IReductEngine::kNaive;
-  rp.resume = &checkpoint;
-  EXPECT_EQ(RunIReduct(w, rp, gen).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(IReductResumeTest, ResumeRefusesForeignCheckpoint) {
   const Workload w = SkewedWorkload();
   CaptureSink capture;

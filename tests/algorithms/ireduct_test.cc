@@ -8,6 +8,7 @@
 #include "algorithms/dwork.h"
 #include "algorithms/selection.h"
 #include "eval/metrics.h"
+#include "support/ireduct_reference.h"
 
 namespace ireduct {
 namespace {
@@ -132,11 +133,13 @@ TEST(IReductTest, DeterministicGivenSeed) {
   EXPECT_EQ(a->group_scales, b->group_scales);
 }
 
+// The two hook tests drive the reference loop, which is what runs the
+// ablation bench's alternative pick rules.
 TEST(IReductTest, CustomPickQueriesHookIsUsed) {
   // A hook that refuses immediately leaves every group at λmax.
   const Workload w = SkewedWorkload();
   BitGen gen(8);
-  auto out = RunIReduct(
+  auto out = RunIReductNaive(
       w, DefaultParams(), gen,
       [](const Workload&, std::span<const double>, std::span<const double>,
          std::span<const uint8_t>, double, double) { return kNoGroup; });
@@ -162,7 +165,7 @@ TEST(IReductTest, RoundRobinHookStillRespectsBudget) {
     }
     return kNoGroup;
   };
-  auto out = RunIReduct(w, DefaultParams(), gen, round_robin);
+  auto out = RunIReductNaive(w, DefaultParams(), gen, round_robin);
   ASSERT_TRUE(out.ok());
   EXPECT_LE(w.GeneralizedSensitivity(out->group_scales),
             DefaultParams().epsilon * (1 + 1e-12));

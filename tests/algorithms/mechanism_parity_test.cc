@@ -20,6 +20,7 @@
 #include "algorithms/two_phase.h"
 #include "common/random.h"
 #include "dp/workload.h"
+#include "support/ireduct_reference.h"
 
 namespace ireduct {
 namespace {
@@ -160,13 +161,11 @@ TEST(MechanismParityTest, IReductDefaultEngine) {
 }
 
 TEST(MechanismParityTest, IReductNaiveEngine) {
+  // The registry's default spec against Figure 4's literal loop.
   CheckSpecAgainst(
-      "ireduct:epsilon=0.5,delta=2,lambda_max=40,lambda_delta=2,"
-      "engine=naive",
+      "ireduct:epsilon=0.5,delta=2,lambda_max=40,lambda_delta=2",
       [](const Workload& w, BitGen& gen) {
-        IReductParams p = BaseIReductParams();
-        p.engine = IReductEngine::kNaive;
-        return RunIReduct(w, p, gen);
+        return RunIReductNaive(w, BaseIReductParams(), gen);
       });
 }
 

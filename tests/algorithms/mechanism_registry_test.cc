@@ -19,16 +19,16 @@ TEST(MechanismSpecTest, ParsesBareName) {
 
 TEST(MechanismSpecTest, ParsesParams) {
   auto spec =
-      MechanismSpec::Parse("ireduct: lambda_steps=16 , engine=naive");
+      MechanismSpec::Parse("ireduct: lambda_steps=16 , objective=max_rel");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->name(), "ireduct");
   ASSERT_EQ(spec->params().size(), 2u);
   auto steps = spec->GetInt("lambda_steps", 0);
   ASSERT_TRUE(steps.ok());
   EXPECT_EQ(*steps, 16);
-  EXPECT_EQ(spec->GetString("engine", ""), "naive");
+  EXPECT_EQ(spec->GetString("objective", ""), "max_rel");
   // Canonical rendering drops the whitespace and re-parses identically.
-  EXPECT_EQ(spec->ToString(), "ireduct:lambda_steps=16,engine=naive");
+  EXPECT_EQ(spec->ToString(), "ireduct:lambda_steps=16,objective=max_rel");
   auto again = MechanismSpec::Parse(spec->ToString());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->ToString(), spec->ToString());
@@ -80,13 +80,13 @@ TEST(MechanismSpecTest, SetDefaultKeepsExplicitValues) {
 TEST(MechanismSpecTest, FromJsonParsesNameAndParams) {
   auto spec = MechanismSpec::FromJson(
       R"({"name": "ireduct", "params": {"lambda_steps": 16,)"
-      R"( "engine": "naive", "epsilon": 0.01}})");
+      R"( "objective": "max_rel", "epsilon": 0.01}})");
   ASSERT_TRUE(spec.ok()) << spec.status();
   EXPECT_EQ(spec->name(), "ireduct");
   auto steps = spec->GetInt("lambda_steps", 0);
   ASSERT_TRUE(steps.ok());
   EXPECT_EQ(*steps, 16);
-  EXPECT_EQ(spec->GetString("engine", ""), "naive");
+  EXPECT_EQ(spec->GetString("objective", ""), "max_rel");
   auto eps = spec->GetDouble("epsilon", 0.0);
   ASSERT_TRUE(eps.ok());
   EXPECT_EQ(*eps, 0.01);
@@ -212,8 +212,13 @@ TEST(MechanismRegistryTest, RunRejectsInvalidSpecBeforeSampling) {
   EXPECT_FALSE(MechanismRegistry::Global().Run(w, "nope", gen).ok());
   EXPECT_FALSE(
       MechanismRegistry::Global()
-          .Run(w, "ireduct:engine=warp_drive", gen)
+          .Run(w, "ireduct:objective=warp_drive", gen)
           .ok());
+  EXPECT_EQ(MechanismRegistry::Global()
+                .Run(w, "ireduct:engine=naive", gen)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MechanismRegistryTest, NonPrivateBaselinesSaySo) {

@@ -10,6 +10,7 @@
 #include "algorithms/selection.h"
 #include "common/random.h"
 #include "dp/workload.h"
+#include "support/ireduct_reference.h"
 
 namespace ireduct {
 namespace {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "support/ireduct_reference.h"
+
 namespace ireduct {
 namespace {
 

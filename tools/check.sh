@@ -5,8 +5,8 @@
 #   tools/check.sh san        # ASan+UBSan build + full test suite
 #   tools/check.sh no-tracing # IREDUCT_ENABLE_TRACING=OFF build + tests
 #   tools/check.sh perf       # Release perf smoke: iReduct engine scaling
-#                             # bench at small m, asserting naive/incremental
-#                             # parity and that the incremental fast path
+#                             # bench at small m, asserting parity with the
+#                             # reference loop and that the incremental path
 #                             # actually engaged (see docs/PERFORMANCE.md),
 #                             # plus the SIMD kernel micro benches — on AVX2
 #                             # hardware the dispatched batch-Laplace kernel
@@ -307,7 +307,7 @@ if [ "$mode" = registry ]; then
     fi
     mkdir -p "$out_dir/$p"
     for spec in "two_phase:epsilon=0.5" \
-                "ireduct:lambda_steps=16,engine=incremental"; do
+                "ireduct:lambda_steps=16"; do
       "$tool" marginals --mechanism "$spec" --rows 2000 --seed 7 \
         --epsilon 0.5 --out-dir "$out_dir/$p" > /dev/null
     done

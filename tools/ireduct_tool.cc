@@ -34,7 +34,7 @@
 //       registry mechanism spec — a bare name ("ireduct", "dwork", ...)
 //       or name:key=val,key=val with parameter overrides, e.g.
 //       "two_phase:epsilon=1.0" or
-//       "ireduct:lambda_steps=16,engine=incremental". Workload-derived
+//       "ireduct:lambda_steps=16,objective=max_rel". Workload-derived
 //       defaults (epsilon, delta, lambda_max, lambda_steps) fill any
 //       declared parameter the spec leaves unset.
 //
