@@ -3,10 +3,10 @@
 // headers, no per-mechanism code. Pass specs on the command line to try
 // your own, e.g.
 //
-//   ./build/examples/mechanism_select "ireduct:lambda_steps=16" \
-//       "two_phase:epsilon1=0.01,epsilon2=0.09" "geometric"
+//   ./build/examples/mechanism_select "ireduct:lambda_steps=16" geometric
 //
-// A spec is "name" or "name:key=val,key=val"; the same strings drive
+// A spec is "name" or "name:key=val,key=val" (for example
+// "two_phase:epsilon1=0.01,epsilon2=0.09"); the same strings drive
 // ireduct_tool --mechanism and the BENCH_MECHANISMS bench knob. JSON works
 // too (MechanismSpec::FromJson) for config files.
 //

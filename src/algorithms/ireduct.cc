@@ -15,7 +15,6 @@
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ireduct {
 
@@ -76,13 +75,8 @@ Status ResampleGroup(const Workload& workload, const QueryGroup& group,
   return Status::OK();
 }
 
-void RecordRetirement(obs::TraceRecorder* recorder, size_t g, double scale) {
+void RecordRetirement(size_t g, double scale) {
   IREDUCT_METRIC_COUNT("ireduct.group_retirements", 1);
-  if (recorder != nullptr) {
-    recorder->AddInstantEvent(
-        "ireduct.retire",
-        {{"group", static_cast<double>(g)}, {"lambda", scale}});
-  }
   if (obs::EventLog* events = obs::EventLog::Get()) {
     events->Emit("ireduct.retire", {{"group", static_cast<uint64_t>(g)},
                                     {"lambda", scale}});
@@ -163,7 +157,6 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
   }
 
   IREDUCT_SCOPED_TIMER(run_timer, "ireduct.run_seconds");
-  obs::TraceRecorder* const recorder = obs::TraceRecorder::Get();
 
   IncrementalSensitivity gs_tracker(workload, out.group_scales);
   if (resume != nullptr) {
@@ -211,8 +204,6 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
           ? workload.GeneralizedSensitivity(out.group_scales)
           : 0;
   for (;;) {
-    const uint64_t round_start_us =
-        recorder != nullptr ? recorder->NowMicros() : 0;
     round_size = 0;
 
     // Selection: pop admissible groups in score order until the round is
@@ -236,7 +227,7 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
         if (!fits) {
           active[g] = false;
           heap.Retire(g);
-          RecordRetirement(recorder, g, old_scale);
+          RecordRetirement(g, old_scale);
           continue;
         }
         gs_tracker.Commit(g, new_scale);
@@ -246,84 +237,78 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
     }
     if (round_size == 0) break;
 
-    if (!batched) {
-      // Sequential Figure 4: resample with the caller's generator directly,
-      // in the literal loop's draw order.
-      const AdmittedMove& mv = round_buf[0];
-      IREDUCT_RETURN_NOT_OK(
-          ResampleGroup(workload, workload.group(mv.group), params.reducer,
-                        mv.old_scale, mv.new_scale, out.answers, gen));
-    } else {
-      // Batched round: derive one RNG substream per admitted group, in
-      // admission order, *before* any parallel work — the draws each group
-      // sees are then independent of thread count and scheduling.
-      for (size_t i = 0; i < round_size; ++i) {
-        seed_buf[i] = gen();
+    // The round's event is a span over its NoiseDown and re-scoring,
+    // recorded after its moves; every field is known once selection has
+    // admitted the moves. An empty selection ends the run before the span
+    // opens; a NoiseDown error that ends the run mid-round still records
+    // the round it aborted.
+    {
+      obs::EventSpan round_event("ireduct.round");
+      if (round_event.recording()) {
+        const double gs_now = round_buf[round_size - 1].gs_after;
+        round_event.Field("round", completed_rounds + 1);
+        round_event.Field("moves", static_cast<uint64_t>(round_size));
+        round_event.Field("gs", gs_now);
+        round_event.Field("epsilon_delta", gs_now - gs_before_round);
+        round_event.Field("epsilon", params.epsilon);
+        gs_before_round = gs_now;
       }
-      round_status.assign(round_size, Status::OK());
-      auto resample_one = [&](size_t i) {
-        const AdmittedMove& mv = round_buf[i];
-        BitGen sub_gen(seed_buf[i]);
-        round_status[i] =
+      if (!batched) {
+        // Sequential Figure 4: resample with the caller's generator
+        // directly, in the literal loop's draw order.
+        const AdmittedMove& mv = round_buf[0];
+        IREDUCT_RETURN_NOT_OK(
             ResampleGroup(workload, workload.group(mv.group), params.reducer,
-                          mv.old_scale, mv.new_scale, out.answers, sub_gen);
-      };
-      if (pool != nullptr && round_size > 1) {
-        for (size_t i = 0; i < round_size; ++i) {
-          pool->Submit([&resample_one, i] { resample_one(i); });
-        }
-        pool->Wait();
+                          mv.old_scale, mv.new_scale, out.answers, gen));
       } else {
-        for (size_t i = 0; i < round_size; ++i) resample_one(i);
+        // Batched round: derive one RNG substream per admitted group, in
+        // admission order, *before* any parallel work — the draws each
+        // group sees are then independent of thread count and scheduling.
+        for (size_t i = 0; i < round_size; ++i) {
+          seed_buf[i] = gen();
+        }
+        round_status.assign(round_size, Status::OK());
+        auto resample_one = [&](size_t i) {
+          const AdmittedMove& mv = round_buf[i];
+          BitGen sub_gen(seed_buf[i]);
+          round_status[i] = ResampleGroup(
+              workload, workload.group(mv.group), params.reducer,
+              mv.old_scale, mv.new_scale, out.answers, sub_gen);
+        };
+        if (pool != nullptr && round_size > 1) {
+          for (size_t i = 0; i < round_size; ++i) {
+            pool->Submit([&resample_one, i] { resample_one(i); });
+          }
+          pool->Wait();
+        } else {
+          for (size_t i = 0; i < round_size; ++i) resample_one(i);
+        }
+        for (const Status& s : round_status) {
+          IREDUCT_RETURN_NOT_OK(s);
+        }
+        IREDUCT_METRIC_COUNT("ireduct.batch_rounds", 1);
       }
-      for (const Status& s : round_status) {
-        IREDUCT_RETURN_NOT_OK(s);
-      }
-      IREDUCT_METRIC_COUNT("ireduct.batch_rounds", 1);
-    }
 
-    // Re-score every refined group; bookkeeping and trace per move.
-    for (size_t i = 0; i < round_size; ++i) {
-      const AdmittedMove& mv = round_buf[i];
-      heap.Update(mv.group, out.answers, out.group_scales);
-      const QueryGroup& group = workload.group(mv.group);
-      out.resample_calls += group.size();
-      ++out.iterations;
-      IREDUCT_METRIC_COUNT("ireduct.iterations", 1);
-      IREDUCT_METRIC_COUNT("ireduct.resample_draws", group.size());
-      if (recorder != nullptr) {
-        recorder->AddCompleteEvent(
-            "ireduct.iteration", round_start_us,
-            recorder->NowMicros() - round_start_us,
-            {{"group", static_cast<double>(mv.group)},
-             {"old_lambda", mv.old_scale},
-             {"new_lambda", mv.new_scale},
-             {"est_rel_error",
-              EstimatedGroupError(workload, mv.group, out.answers,
-                                  mv.new_scale, params.delta)},
-             {"gs_headroom", params.epsilon - mv.gs_after}});
-      }
-      if (obs::EventLog* events = obs::EventLog::Get()) {
-        events->Emit("ireduct.move",
-                     {{"round", completed_rounds + 1},
-                      {"group", static_cast<uint64_t>(mv.group)},
-                      {"old_lambda", mv.old_scale},
-                      {"new_lambda", mv.new_scale},
-                      {"gs_after", mv.gs_after}});
+      // Re-score every refined group; bookkeeping and one event per move.
+      for (size_t i = 0; i < round_size; ++i) {
+        const AdmittedMove& mv = round_buf[i];
+        heap.Update(mv.group, out.answers, out.group_scales);
+        const QueryGroup& group = workload.group(mv.group);
+        out.resample_calls += group.size();
+        ++out.iterations;
+        IREDUCT_METRIC_COUNT("ireduct.iterations", 1);
+        IREDUCT_METRIC_COUNT("ireduct.resample_draws", group.size());
+        if (obs::EventLog* events = obs::EventLog::Get()) {
+          events->Emit("ireduct.move",
+                       {{"round", completed_rounds + 1},
+                        {"group", static_cast<uint64_t>(mv.group)},
+                        {"old_lambda", mv.old_scale},
+                        {"new_lambda", mv.new_scale},
+                        {"gs_after", mv.gs_after}});
+        }
       }
     }
-
     ++completed_rounds;
-    if (obs::EventLog* events = obs::EventLog::Get()) {
-      const double gs_now = round_buf[round_size - 1].gs_after;
-      events->Emit("ireduct.round",
-                   {{"round", completed_rounds},
-                    {"moves", static_cast<uint64_t>(round_size)},
-                    {"gs", gs_now},
-                    {"epsilon_delta", gs_now - gs_before_round},
-                    {"epsilon", params.epsilon}});
-      gs_before_round = gs_now;
-    }
     // Crash-test hook: "ireduct.round" crash@R dies here, after round R's
     // draws but before any checkpoint of it.
     FaultInjector::Global().Hit("ireduct.round");

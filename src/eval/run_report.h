@@ -69,6 +69,10 @@ class RunReport {
 
   /// Attaches the accountant's ε ledger (budget, spent, every charge).
   void AttachLedger(const PrivacyAccountant& accountant);
+  /// The attached ledger's JSON (PrivacyAccountant::ExportLedgerJson()).
+  const std::optional<std::string>& ledger_json() const {
+    return ledger_json_;
+  }
 
   /// Attaches a snapshot of `registry` (defaults to the global one).
   void AttachMetrics(

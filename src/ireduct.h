@@ -56,7 +56,6 @@
 #include "obs/json.h"                      // IWYU pragma: export
 #include "obs/log.h"                       // IWYU pragma: export
 #include "obs/metrics.h"                   // IWYU pragma: export
-#include "obs/trace.h"                     // IWYU pragma: export
 #include "queries/linear_workload.h"       // IWYU pragma: export
 #include "queries/predicate.h"             // IWYU pragma: export
 #include "queries/range_workload.h"        // IWYU pragma: export

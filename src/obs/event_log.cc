@@ -1,21 +1,95 @@
 #include "obs/event_log.h"
 
+#include "obs/json.h"
+
+namespace ireduct {
+namespace obs {
+
+std::string ChromeTraceJson(std::span<const std::string> jsonl_lines,
+                            const std::map<std::string, std::string>&
+                                other_data) {
+  std::string out;
+  JsonWriter json(&out);
+  json.BeginObject();
+  json.Key("traceEvents");
+  json.BeginArray();
+  for (const std::string& line : jsonl_lines) {
+    const Result<JsonValue> event = JsonParse(line);
+    if (!event.ok() || !event->is(JsonValue::Kind::kObject)) continue;
+    const JsonValue* type = event->Find("type");
+    const JsonValue* ts = event->Find("ts_us");
+    const JsonValue* dur = event->Find("dur_us");
+    json.BeginObject();
+    json.KV("name", type != nullptr ? std::string_view(type->text) : "");
+    json.KV("ph", dur != nullptr ? "X" : "i");
+    // Single-process, single-track model: everything the library records
+    // belongs to one timeline.
+    json.Key("pid");
+    json.Int(1);
+    json.Key("tid");
+    json.Int(1);
+    json.Key("ts");
+    json.RawValue(ts != nullptr ? std::string_view(ts->text) : "0");
+    if (dur != nullptr) {
+      json.Key("dur");
+      json.RawValue(dur->text);
+    } else {
+      json.KV("s", "t");  // instant scope: thread
+    }
+    json.Key("args");
+    json.BeginObject();
+    for (const auto& [key, value] : event->object) {
+      if (&value == type || &value == ts || &value == dur) continue;
+      json.Key(key);
+      if (value.is(JsonValue::Kind::kNumber)) {
+        json.RawValue(value.text);
+      } else {
+        json.String(value.text);
+      }
+    }
+    json.EndObject();
+    json.EndObject();
+  }
+  json.EndArray();
+  json.KV("displayTimeUnit", "ms");
+  if (!other_data.empty()) {
+    json.Key("otherData");
+    json.BeginObject();
+    for (const auto& [key, value] : other_data) {
+      json.Key(key);
+      json.RawValue(value);
+    }
+    json.EndObject();
+  }
+  json.EndObject();
+  return out;
+}
+
+}  // namespace obs
+}  // namespace ireduct
+
 #if IREDUCT_ENABLE_TRACING
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <utility>
 
 #include "common/fault.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace ireduct {
 namespace obs {
 
 namespace {
+
+uint64_t UnixMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
+
 std::string JsonToken(double v) {
   // JSON has no non-finite numbers; quote them like JsonWriter::Double.
   if (!std::isfinite(v)) return '"' + FormatDouble(v) + '"';
@@ -49,6 +123,13 @@ void EventLog::Install(EventLog* log) {
 
 void EventLog::Emit(std::string_view type,
                     std::initializer_list<EventField> fields) {
+  Record(type, std::span<const EventField>(fields.begin(), fields.size()),
+         nullptr);
+}
+
+void EventLog::Record(std::string_view type,
+                      std::span<const EventField> fields,
+                      const SpanTiming* timing) {
   std::string line;
   bool dropped = false;
   {
@@ -61,12 +142,11 @@ void EventLog::Emit(std::string_view type,
       json.Key(field.key);
       json.RawValue(field.json);
     }
-    if (wall_clock_) {
-      const auto now = std::chrono::system_clock::now().time_since_epoch();
-      json.KV("unix_ms",
-              static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::milliseconds>(now)
-                      .count()));
+    if (timing != nullptr) {
+      json.KV("ts_us", timing->start_us);
+      json.KV("dur_us", timing->duration_us);
+    } else if (wall_clock_) {
+      json.KV("ts_us", UnixMicros());
     }
     json.EndObject();
     ++next_seq_;
@@ -85,6 +165,11 @@ void EventLog::Emit(std::string_view type,
 void EventLog::set_wall_clock(bool on) {
   const std::lock_guard<std::mutex> lock(mu_);
   wall_clock_ = on;
+}
+
+bool EventLog::wall_clock() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return wall_clock_;
 }
 
 size_t EventLog::size() const {
@@ -150,14 +235,17 @@ void EventLog::Drain(std::string* out) {
 
 Status EventLog::WriteFile(const std::string& path) {
   // Serialize outside any write so a failure leaves the buffer intact:
-  // drained-on-success only.
+  // drained-on-success only. `written_end` is one past the last seq in the
+  // payload; lines emitted while the file is written stay buffered.
   std::string payload;
+  uint64_t written_end;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& line : lines_) {
       payload += line;
       payload.push_back('\n');
     }
+    written_end = next_seq_;
   }
   const FaultDecision fault = FaultInjector::Global().Hit("event_log.write");
   if (fault.action == FaultAction::kFail) {
@@ -183,13 +271,41 @@ Status EventLog::WriteFile(const std::string& path) {
   if (!file.flush()) {
     return Status::IoError("writing event log '" + path + "'");
   }
-  Clear();
+  // Buffered seqs are consecutive and end at next_seq_ - 1, so the written
+  // lines still buffered are a prefix (written_end <= next_seq_); ring
+  // drops and drains during the write only shorten it.
+  const std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t front_seq = next_seq_ - lines_.size();
+  if (written_end > front_seq) {
+    lines_.erase(lines_.begin(),
+                 lines_.begin() +
+                     static_cast<std::ptrdiff_t>(written_end - front_seq));
+  }
   return Status::OK();
 }
 
-void EventLog::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  lines_.clear();
+EventSpan::EventSpan(std::string_view type)
+    : log_(EventLog::Get()), type_(type) {
+  if (log_ != nullptr && log_->wall_clock()) {
+    timed_ = true;
+    start_us_ = UnixMicros();
+    start_ = std::chrono::steady_clock::now();
+  }
+}
+
+EventSpan::~EventSpan() {
+  if (log_ == nullptr) return;
+  if (!timed_) {
+    log_->Record(type_, fields_, nullptr);
+    return;
+  }
+  const EventLog::SpanTiming timing{
+      start_us_,
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start_)
+              .count())};
+  log_->Record(type_, fields_, &timing);
 }
 
 }  // namespace obs

@@ -1,10 +1,12 @@
 // Structured JSONL event stream: a bounded in-memory ring of serialized
 // events, drained explicitly by the edge that wants them (the CLI behind
-// --events-out, a bench, a test).
+// --events-out/--report-out/--trace-out, a bench, a test). It is the one
+// telemetry stream: spans are events that carry a duration, and the Chrome
+// trace is an export of the stream (ChromeTraceJson).
 //
-// An EventLog is installed process-wide (EventLog::Install) like a
-// TraceRecorder; while none is installed, the EventLog::Get() check at each
-// call site is a single atomic load and nothing is recorded. With
+// An EventLog is installed process-wide (EventLog::Install); while none is
+// installed, the EventLog::Get() check at each call site (and an EventSpan's
+// construction) is a single atomic load and nothing is recorded. With
 // IREDUCT_ENABLE_TRACING=OFF the whole facility compiles to empty inline
 // stubs (Get() is a constant nullptr, so guarded emission blocks fold
 // away).
@@ -17,8 +19,8 @@
 // seed: events are only emitted from sequential (post-parallel) code, field
 // order is fixed at the call site, and doubles render shortest-round-trip.
 // The one opt-in exception is set_wall_clock(true), which appends a
-// "unix_ms" field for operators who want real timestamps and accept
-// non-reproducible bytes.
+// "ts_us" timestamp to every event and a "dur_us" duration to every span
+// for operators who want real timing and accept non-reproducible bytes.
 #ifndef IREDUCT_OBS_EVENT_LOG_H_
 #define IREDUCT_OBS_EVENT_LOG_H_
 
@@ -30,17 +32,36 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
+namespace ireduct {
+namespace obs {
+
+/// Chrome trace_event JSON (the object format chrome://tracing and Perfetto
+/// load) from EventLog lines. Events with "dur_us" become complete spans
+/// ("ph":"X"), every other event an instant ("ph":"i"); "ts_us" becomes
+/// "ts" (0 when the stream was recorded without the wall clock), the other
+/// fields, `seq` included, become "args". `other_data` entries are
+/// pre-serialized JSON values placed under "otherData". Lines that do not
+/// parse as a JSON object are skipped.
+std::string ChromeTraceJson(std::span<const std::string> jsonl_lines,
+                            const std::map<std::string, std::string>&
+                                other_data);
+
+}  // namespace obs
+}  // namespace ireduct
+
 #if IREDUCT_ENABLE_TRACING
 
 #include <atomic>
+#include <chrono>
 #include <deque>
-#include <map>
 #include <mutex>
 
 namespace ireduct {
@@ -81,8 +102,10 @@ class EventLog {
   /// ("ireduct.round"); fields serialize in the given order.
   void Emit(std::string_view type, std::initializer_list<EventField> fields);
 
-  /// Opt-in wall-clock stamping: appends "unix_ms" to every subsequent
-  /// event. Off by default to keep event bytes reproducible.
+  /// Opt-in wall-clock stamping: every subsequent event gains "ts_us"
+  /// (Unix microseconds; a span's start) and every span started while it
+  /// is on gains "dur_us". Off by default to keep event bytes
+  /// reproducible.
   void set_wall_clock(bool on);
 
   /// Currently buffered (emitted, not yet drained or dropped) events.
@@ -107,13 +130,11 @@ class EventLog {
   /// `*out` and empties the buffer. Counters and sequence numbers keep
   /// running.
   void Drain(std::string* out);
-  /// Appends all buffered lines to `path`, then empties the buffer — only
-  /// on success, so a failed write never loses events. Honors the
-  /// "event_log.write" fault point (fail/truncate/crash).
+  /// Appends all buffered lines to `path`, then removes exactly the lines
+  /// it wrote — only on success, so a failed write never loses events, and
+  /// events emitted during the write stay buffered for the next drain.
+  /// Honors the "event_log.write" fault point (fail/truncate/crash).
   Status WriteFile(const std::string& path);
-
-  /// Drops buffered lines without writing them (counters keep running).
-  void Clear();
 
   static constexpr size_t kDefaultCapacity = 65536;
 
@@ -121,15 +142,64 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
  private:
+  friend class EventSpan;
+
+  // A span's timing fields, in microseconds.
+  struct SpanTiming {
+    uint64_t start_us;
+    uint64_t duration_us;
+  };
+
+  // Serializes and buffers one event; `timing` (spans only) replaces the
+  // emission-time "ts_us" with the span's start and adds "dur_us".
+  void Record(std::string_view type, std::span<const EventField> fields,
+              const SpanTiming* timing);
+  bool wall_clock() const;
+
   static std::atomic<EventLog*> installed_;
 
   const size_t capacity_;
   mutable std::mutex mu_;
+  // Buffered lines hold consecutive seqs ending at next_seq_ - 1: lines
+  // only ever leave from the front.
   std::deque<std::string> lines_;
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;
   bool wall_clock_ = false;
   std::map<std::string, uint64_t, std::less<>> by_type_;
+};
+
+/// RAII span event: records one event of `type` when its scope exits, on
+/// the log installed at construction (uninstalling mid-span is safe; the
+/// span keeps its log). Fields keep the order of the Field() calls. With no
+/// log installed, construction is one atomic load and Field() is a no-op
+/// that allocates nothing. While the log's wall clock is on at
+/// construction the event also carries "ts_us" (the span's start) and
+/// "dur_us"; otherwise its bytes equal an Emit() of the same fields at
+/// scope exit.
+class EventSpan {
+ public:
+  /// `type` must outlive the span (call sites pass literals).
+  explicit EventSpan(std::string_view type);
+  ~EventSpan();
+
+  template <typename T>
+  void Field(std::string_view key, const T& value) {
+    if (log_ != nullptr) fields_.emplace_back(key, value);
+  }
+
+  bool recording() const { return log_ != nullptr; }
+
+  EventSpan(const EventSpan&) = delete;
+  EventSpan& operator=(const EventSpan&) = delete;
+
+ private:
+  EventLog* const log_;
+  const std::string_view type_;
+  std::vector<EventField> fields_;
+  bool timed_ = false;
+  uint64_t start_us_ = 0;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs
@@ -141,7 +211,8 @@ namespace ireduct {
 namespace obs {
 
 // Compile-time-disabled stubs: Get() is a constant nullptr, so
-// `if (EventLog* log = EventLog::Get())` emission blocks fold away.
+// `if (EventLog* log = EventLog::Get())` emission blocks fold away, and
+// EventSpan is an empty object.
 struct EventField {
   EventField(std::string_view, uint64_t) {}
   EventField(std::string_view, int64_t) {}
@@ -170,9 +241,16 @@ class EventLog {
   }
   void Drain(std::string*) {}
   Status WriteFile(const std::string&) { return Status::OK(); }
-  void Clear() {}
 
   static constexpr size_t kDefaultCapacity = 0;
+};
+
+class EventSpan {
+ public:
+  explicit EventSpan(std::string_view) {}
+  template <typename T>
+  void Field(std::string_view, const T&) {}
+  bool recording() const { return false; }
 };
 
 }  // namespace obs

@@ -9,9 +9,9 @@
 #include "algorithms/geometric.h"
 #include "marginals/marginal_set.h"
 #include "marginals/marginal_workload.h"
+#include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ireduct {
 
@@ -123,8 +123,8 @@ Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
 Result<double> PrivateQuerySession::CountQuery(const ConjunctiveQuery& query,
                                                double epsilon,
                                                CountNoise noise) {
-  obs::TraceSpan span("session.count_query");
-  span.Arg("epsilon", epsilon);
+  obs::EventSpan span("session.count_query");
+  span.Field("epsilon", epsilon);
   IREDUCT_METRIC_COUNT("session.count_queries", 1);
   IREDUCT_SCOPED_TIMER(request_timer, "session.request_seconds");
   const BudgetGaugeUpdater budget_gauge(accountant_.get());
@@ -169,10 +169,10 @@ Result<MarginalRelease> PrivateQuerySession::PublishMarginalsPrecomputed(
     std::vector<Marginal> tables, MechanismSpec mechanism, double epsilon,
     double delta, int lambda_steps) {
   const size_t num_tables = tables.size();
-  obs::TraceSpan span("session.publish_marginals");
-  span.Arg("mechanism", mechanism.name());
-  span.Arg("epsilon", epsilon);
-  span.Arg("marginals", static_cast<double>(num_tables));
+  obs::EventSpan span("session.publish_marginals");
+  span.Field("mechanism", mechanism.name());
+  span.Field("epsilon", epsilon);
+  span.Field("marginals", static_cast<uint64_t>(num_tables));
   IREDUCT_METRIC_COUNT("session.marginal_releases", 1);
   IREDUCT_SCOPED_TIMER(request_timer, "session.request_seconds");
   const BudgetGaugeUpdater budget_gauge(accountant_.get());
@@ -223,8 +223,8 @@ Result<MarginalRelease> PrivateQuerySession::PublishMarginalsPrecomputed(
   }
   IREDUCT_RETURN_NOT_OK(accountant_->Charge(
       "marginal release (" + info.display_name + ")", out.epsilon_spent));
-  span.Arg("epsilon_spent", out.epsilon_spent);
-  span.Arg("iterations", static_cast<double>(out.iterations));
+  span.Field("epsilon_spent", out.epsilon_spent);
+  span.Field("iterations", static_cast<uint64_t>(out.iterations));
   IREDUCT_LOG(kInfo) << "published " << num_tables << " marginals via "
                      << info.display_name << " in " << out.iterations
                      << " iterations for epsilon " << out.epsilon_spent
@@ -238,11 +238,11 @@ Result<MarginalRelease> PrivateQuerySession::PublishMarginalsPrecomputed(
 
 Result<NoiseDownChain> PrivateQuerySession::StartRefinableCount(
     const ConjunctiveQuery& query, double initial_scale) {
-  obs::TraceSpan span("session.start_refinable_count");
-  span.Arg("initial_scale", initial_scale);
+  obs::EventSpan span("session.start_refinable_count");
+  span.Field("initial_scale", initial_scale);
   // The up-front charge is sensitivity/scale (chain start at exact
   // coupling slack 1).
-  span.Arg("epsilon", initial_scale > 0 ? 1.0 / initial_scale : 0.0);
+  span.Field("epsilon", initial_scale > 0 ? 1.0 / initial_scale : 0.0);
   IREDUCT_METRIC_COUNT("session.refinable_counts", 1);
   IREDUCT_SCOPED_TIMER(request_timer, "session.request_seconds");
   const BudgetGaugeUpdater budget_gauge(accountant_.get());

@@ -9,7 +9,6 @@
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ireduct {
 
@@ -360,9 +359,6 @@ void QueryServer::DispatcherLoop() {
 }
 
 void QueryServer::ExecuteBatch(std::vector<Request> batch) {
-  obs::TraceSpan span("server.batch");
-  span.Arg("width", static_cast<double>(batch.size()));
-
   // Phase A — coalesce the marginal requests by dataset fingerprint and
   // derive every request's *true* tables in one fused pass per dataset,
   // shared through the process-wide MarginalCache. True tables are

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -104,8 +107,36 @@ TEST(EventLogTest, WallClockIsOptIn) {
   log.Emit("test.clock", {});
   const std::vector<std::string> lines = log.SnapshotLines();
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].find("unix_ms"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"unix_ms\":"), std::string::npos);
+  EXPECT_EQ(lines[0].find("ts_us"), std::string::npos);
+  EXPECT_NE(lines[1].find("\"ts_us\":"), std::string::npos);
+  // Instants carry a timestamp but no duration.
+  EXPECT_EQ(lines[1].find("dur_us"), std::string::npos);
+}
+
+// Without the wall clock a span is byte-identical to an Emit of the same
+// fields at scope exit, so spans keep the default stream deterministic.
+TEST(EventLogTest, UntimedSpanMatchesEmit) {
+  EventLog log;
+  ScopedInstall install(&log);
+  {
+    EventSpan span("test.span");
+    span.Field("n", uint64_t{3});
+    span.Field("x", 0.5);
+    span.Field("name", std::string("a\"b"));
+    log.Emit("test.inner", {});
+  }
+  log.Emit("test.span", {{"n", uint64_t{3}},
+                         {"x", 0.5},
+                         {"name", std::string_view("a\"b")}});
+  const std::vector<std::string> lines = log.SnapshotLines();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], "{\"seq\":0,\"type\":\"test.inner\"}");
+  // Same bytes apart from the seq.
+  EXPECT_EQ(lines[1].substr(lines[1].find(",\"type\"")),
+            lines[2].substr(lines[2].find(",\"type\"")));
+  EXPECT_EQ(lines[1],
+            "{\"seq\":1,\"type\":\"test.span\",\"n\":3,\"x\":0.5,"
+            "\"name\":\"a\\\"b\"}");
 }
 
 TEST(EventLogTest, InstallRoutesEmissionGlobally) {
@@ -185,6 +216,42 @@ TEST(EventLogTest, FailedWriteKeepsBuffer) {
   std::remove(path.c_str());
 }
 
+// A drain racing an emitter must neither lose nor repeat an event: every
+// line lands in the file or stays buffered for the next drain.
+TEST(EventLogTest, WriteFileDuringEmitLosesNothing) {
+  const std::string path = testing::TempDir() + "/event_log_race.jsonl";
+  std::remove(path.c_str());
+  constexpr uint64_t kEvents = 20000;
+  EventLog log(/*capacity=*/2 * kEvents);
+  std::atomic<bool> done{false};
+  std::thread emitter([&log, &done] {
+    for (uint64_t i = 0; i < kEvents; ++i) {
+      log.Emit("test.race", {{"i", i}});
+    }
+    done.store(true);
+  });
+  bool writes_ok = true;
+  while (!done.load()) writes_ok = log.WriteFile(path).ok() && writes_ok;
+  emitter.join();
+  EXPECT_TRUE(writes_ok);
+  std::string stream = ReadAll(path);
+  log.Drain(&stream);
+  std::remove(path.c_str());
+
+  std::vector<int> seen(kEvents, 0);
+  std::istringstream lines(stream);
+  for (std::string line; std::getline(lines, line);) {
+    auto parsed = minijson::Parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    const auto seq = static_cast<uint64_t>(parsed->Find("seq")->number);
+    ASSERT_LT(seq, kEvents);
+    ++seen[seq];
+  }
+  for (uint64_t seq = 0; seq < kEvents; ++seq) {
+    ASSERT_EQ(seen[seq], 1) << "seq " << seq;
+  }
+}
+
 TEST(EventLogTest, ConcurrentEmitIsLossless) {
   EventLog log;
   constexpr int kThreads = 8;
@@ -219,6 +286,163 @@ TEST(EventLogTest, ConcurrentEmitIsLossless) {
   }
 }
 
+
+// Chrome-trace export of the stream. The log runs with its wall clock on,
+// as under `ireduct_tool --trace-out`, so spans carry durations.
+class TraceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    log_.set_wall_clock(true);
+    EventLog::Install(&log_);
+  }
+  void TearDown() override { EventLog::Install(nullptr); }
+
+  std::optional<minijson::Value> ParsedTrace(
+      const std::map<std::string, std::string>& other_data = {}) const {
+    return minijson::Parse(
+        ChromeTraceJson(log_.SnapshotLines(), other_data));
+  }
+
+  EventLog log_;
+};
+
+TEST_F(TraceTest, SpanRecordsCompleteEvent) {
+  {
+    EventSpan span("unit.work");
+    span.Field("items", uint64_t{3});
+    span.Field("mode", std::string_view("fast"));
+  }
+  EXPECT_EQ(log_.size(), 1u);
+  EXPECT_EQ(log_.CountType("unit.work"), 1u);
+
+  auto parsed = ParsedTrace();
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 1u);
+  const minijson::Value& event = events->array[0];
+  EXPECT_EQ(event.Find("name")->text, "unit.work");
+  EXPECT_EQ(event.Find("ph")->text, "X");
+  ASSERT_NE(event.Find("ts"), nullptr);
+  EXPECT_GT(event.Find("ts")->number, 0.0);
+  ASSERT_NE(event.Find("dur"), nullptr);
+  const minijson::Value* args = event.Find("args");
+  ASSERT_NE(args, nullptr);
+  EXPECT_DOUBLE_EQ(args->Find("items")->number, 3.0);
+  EXPECT_EQ(args->Find("mode")->text, "fast");
+  EXPECT_DOUBLE_EQ(args->Find("seq")->number, 0.0);
+  // The envelope fields do not repeat as args.
+  EXPECT_EQ(args->Find("type"), nullptr);
+  EXPECT_EQ(args->Find("ts_us"), nullptr);
+  EXPECT_EQ(args->Find("dur_us"), nullptr);
+}
+
+TEST_F(TraceTest, NestedSpansNestInTime) {
+  {
+    EventSpan outer("unit.outer");
+    {
+      EventSpan inner("unit.inner");
+    }
+  }
+  auto parsed = ParsedTrace();
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value* events = parsed->Find("traceEvents");
+  ASSERT_EQ(events->array.size(), 2u);
+  // Inner closes first, so it is recorded first.
+  const minijson::Value& inner = events->array[0];
+  const minijson::Value& outer = events->array[1];
+  EXPECT_EQ(inner.Find("name")->text, "unit.inner");
+  EXPECT_EQ(outer.Find("name")->text, "unit.outer");
+  // Containment: outer starts no later and ends no earlier than inner.
+  // Start stamps come from the system clock and durations from the steady
+  // clock, each truncated to whole microseconds, so allow 2 us of rounding.
+  const double outer_start = outer.Find("ts")->number;
+  const double outer_end = outer_start + outer.Find("dur")->number;
+  const double inner_start = inner.Find("ts")->number;
+  const double inner_end = inner_start + inner.Find("dur")->number;
+  EXPECT_LE(outer_start, inner_start);
+  EXPECT_GE(outer_end + 2, inner_end);
+}
+
+TEST_F(TraceTest, InstantEventsAndOtherData) {
+  log_.Emit("unit.instant", {{"k", 1.0}});
+  auto parsed = ParsedTrace({{"ledger", "{\"spent\":0.5}"}});
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value* events = parsed->Find("traceEvents");
+  ASSERT_EQ(events->array.size(), 1u);
+  EXPECT_EQ(events->array[0].Find("ph")->text, "i");
+  EXPECT_EQ(events->array[0].Find("dur"), nullptr);
+  EXPECT_DOUBLE_EQ(events->array[0].Find("args")->Find("k")->number, 1.0);
+  const minijson::Value* other = parsed->Find("otherData");
+  ASSERT_NE(other, nullptr);
+  const minijson::Value* ledger = other->Find("ledger");
+  ASSERT_NE(ledger, nullptr);
+  EXPECT_DOUBLE_EQ(ledger->Find("spent")->number, 0.5);
+}
+
+TEST_F(TraceTest, EscapesSpecialCharacters) {
+  {
+    EventSpan span("quote\"back\\slash\nnewline");
+    span.Field("why", std::string_view("tab\there"));
+  }
+  auto parsed = ParsedTrace();
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value& event = parsed->Find("traceEvents")->array[0];
+  EXPECT_EQ(event.Find("name")->text, "quote\"back\\slash\nnewline");
+  EXPECT_EQ(event.Find("args")->Find("why")->text, "tab\there");
+}
+
+TEST(TraceDisabledTest, NoRecorderMeansNoRecording) {
+  EventLog::Install(nullptr);
+  EventLog bystander;
+  {
+    EventSpan span("unit.unrecorded");
+    span.Field("ignored", 1.0);
+    EXPECT_FALSE(span.recording());
+  }
+  EXPECT_EQ(bystander.total_emitted(), 0u);
+  EXPECT_FALSE(EventLog::active());
+}
+
+TEST(TraceDisabledTest, SpanBindsRecorderAtConstruction) {
+  EventLog log;
+  EventLog::Install(&log);
+  {
+    EventSpan span("unit.bound");
+    // Uninstalling mid-span must not lose the event (nor crash): the span
+    // holds the log it started on.
+    EventLog::Install(nullptr);
+  }
+  EXPECT_EQ(log.CountType("unit.bound"), 1u);
+}
+
+// An empty stream (also what a build without tracing exports) is a valid
+// Chrome trace.
+TEST(TraceJsonTest, EmptyRecorderIsValidChromeTrace) {
+  auto parsed = minijson::Parse(ChromeTraceJson({}, {}));
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->kind, minijson::Value::kArray);
+  EXPECT_TRUE(events->array.empty());
+  EXPECT_EQ(parsed->Find("displayTimeUnit")->text, "ms");
+}
+
+// Without the wall clock there is no timing to export: every event is an
+// instant at ts 0.
+TEST(TraceJsonTest, UntimedStreamExportsInstants) {
+  EventLog log;
+  {
+    ScopedInstall install(&log);
+    EventSpan span("unit.untimed");
+  }
+  auto parsed = minijson::Parse(ChromeTraceJson(log.SnapshotLines(), {}));
+  ASSERT_TRUE(parsed.has_value());
+  const minijson::Value& event = parsed->Find("traceEvents")->array[0];
+  EXPECT_EQ(event.Find("ph")->text, "i");
+  EXPECT_DOUBLE_EQ(event.Find("ts")->number, 0.0);
+}
+
 #else  // !IREDUCT_ENABLE_TRACING
 
 TEST(EventLogTest, StubsAreInertAndFree) {
@@ -231,6 +455,11 @@ TEST(EventLogTest, StubsAreInertAndFree) {
   EXPECT_EQ(log.SummaryJson(),
             "{\"emitted\":0,\"dropped\":0,\"buffered\":0,\"by_type\":{}}");
   EXPECT_TRUE(log.WriteFile("/nonexistent/dir/file").ok());
+  EventSpan span("test.stub");
+  span.Field("i", 1.0);
+  EXPECT_FALSE(span.recording());
+  EXPECT_EQ(ChromeTraceJson(log.SnapshotLines(), {}),
+            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
 }
 
 #endif  // IREDUCT_ENABLE_TRACING

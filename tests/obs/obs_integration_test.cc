@@ -1,19 +1,20 @@
 // End-to-end observability: run the real iReduct mechanism and a real
-// private session with a trace recorder installed, then assert that the
-// trace/metrics/ledger views all agree with the mechanism's own outputs.
+// private session with an event log installed, then assert that the
+// event/metrics/ledger views all agree with the mechanism's own outputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/ireduct.h"
 #include "dp/privacy_accountant.h"
 #include "dp/workload.h"
 #include "minijson.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "service/private_session.h"
 
 namespace ireduct {
@@ -34,42 +35,48 @@ IReductParams SmallParams() {
 
 #if IREDUCT_ENABLE_TRACING
 
-TEST(ObsIntegrationTest, OneTraceSpanPerIReductIteration) {
+// Parses every buffered line of `log`; a line that does not parse fails
+// the calling test.
+std::vector<minijson::Value> ParsedEvents(const obs::EventLog& log) {
+  std::vector<minijson::Value> events;
+  for (const std::string& line : log.SnapshotLines()) {
+    auto parsed = minijson::Parse(line);
+    EXPECT_TRUE(parsed.has_value()) << line;
+    if (parsed.has_value()) events.push_back(std::move(*parsed));
+  }
+  return events;
+}
+
+TEST(ObsIntegrationTest, OneMoveEventPerIReductIteration) {
   auto workload = SmallWorkload();
   ASSERT_TRUE(workload.ok());
 
-  obs::TraceRecorder recorder;
-  obs::TraceRecorder::Install(&recorder);
+  obs::EventLog log;
+  obs::EventLog::Install(&log);
   BitGen gen(2011);
   auto out = RunIReduct(*workload, SmallParams(), gen);
-  obs::TraceRecorder::Install(nullptr);
+  obs::EventLog::Install(nullptr);
 
   ASSERT_TRUE(out.ok());
   ASSERT_GT(out->iterations, 0u);
-  EXPECT_EQ(recorder.CountEventsNamed("ireduct.iteration"),
-            out->iterations);
+  EXPECT_EQ(log.CountType("ireduct.move"), out->iterations);
 
-  // Every iteration span carries the full annotation set, and the λ move
-  // matches the configured step.
-  auto parsed = minijson::Parse(recorder.ToJson());
-  ASSERT_TRUE(parsed.has_value());
-  size_t iteration_spans = 0;
-  for (const minijson::Value& event :
-       parsed->Find("traceEvents")->array) {
-    if (event.Find("name")->text != "ireduct.iteration") continue;
-    ++iteration_spans;
-    const minijson::Value* args = event.Find("args");
-    ASSERT_NE(args, nullptr);
-    for (const char* key : {"group", "old_lambda", "new_lambda",
-                            "est_rel_error", "gs_headroom"}) {
-      ASSERT_NE(args->Find(key), nullptr) << key;
+  // Every move carries the full field set, the λ move matches the
+  // configured step, and the GS after it stays within ε.
+  size_t moves = 0;
+  for (const minijson::Value& event : ParsedEvents(log)) {
+    if (event.Find("type")->text != "ireduct.move") continue;
+    ++moves;
+    for (const char* key :
+         {"round", "group", "old_lambda", "new_lambda", "gs_after"}) {
+      ASSERT_NE(event.Find(key), nullptr) << key;
     }
-    EXPECT_NEAR(args->Find("old_lambda")->number -
-                    args->Find("new_lambda")->number,
+    EXPECT_NEAR(event.Find("old_lambda")->number -
+                    event.Find("new_lambda")->number,
                 SmallParams().lambda_delta, 1e-9);
-    EXPECT_GE(args->Find("gs_headroom")->number, 0.0);
+    EXPECT_LE(event.Find("gs_after")->number, SmallParams().epsilon);
   }
-  EXPECT_EQ(iteration_spans, out->iterations);
+  EXPECT_EQ(moves, out->iterations);
 }
 
 TEST(ObsIntegrationTest, MetricsCountersTrackMechanismOutput) {
@@ -103,27 +110,27 @@ TEST(ObsIntegrationTest, SessionTraceCarriesEpsilonAndLedgerMatches) {
                     .ok());
   }
 
-  obs::TraceRecorder recorder;
-  obs::TraceRecorder::Install(&recorder);
+  obs::EventLog log;
+  obs::EventLog::Install(&log);
   auto session = PrivateQuerySession::Create(&dataset, 1.0, 11);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->CountQuery(ConjunctiveQuery{{{0, 1}}}, 0.25).ok());
   const std::vector<MarginalSpec> specs = {MarginalSpec{{0}}};
   ASSERT_TRUE(session->PublishMarginals(specs, 0.5, 2.0, 50).ok());
-  obs::TraceRecorder::Install(nullptr);
+  obs::EventLog::Install(nullptr);
 
-  EXPECT_EQ(recorder.CountEventsNamed("session.count_query"), 1u);
-  EXPECT_EQ(recorder.CountEventsNamed("session.publish_marginals"), 1u);
+  EXPECT_EQ(log.CountType("session.count_query"), 1u);
+  EXPECT_EQ(log.CountType("session.publish_marginals"), 1u);
 
   // The count-query span advertises exactly the ε slice charged.
-  auto parsed = minijson::Parse(recorder.ToJson());
-  ASSERT_TRUE(parsed.has_value());
-  for (const minijson::Value& event :
-       parsed->Find("traceEvents")->array) {
-    if (event.Find("name")->text == "session.count_query") {
-      EXPECT_DOUBLE_EQ(event.Find("args")->Find("epsilon")->number, 0.25);
+  size_t count_spans = 0;
+  for (const minijson::Value& event : ParsedEvents(log)) {
+    if (event.Find("type")->text == "session.count_query") {
+      ++count_spans;
+      EXPECT_DOUBLE_EQ(event.Find("epsilon")->number, 0.25);
     }
   }
+  EXPECT_EQ(count_spans, 1u);
 
   // The session ledger accounts for both releases and sums to spent().
   ASSERT_EQ(session->ledger().size(), 2u);

@@ -6,10 +6,12 @@
 
 #include <chrono>
 #include <future>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "marginals/marginal_set.h"
+#include "obs/event_log.h"
 #include "obs/json.h"
 #include "service/wire.h"
 
@@ -230,6 +232,108 @@ TEST(QueryServerTest, BatchedResponsesMatchSerialGolden) {
     }
   }
 }
+
+#if IREDUCT_ENABLE_TRACING
+
+// Runs every tenant's count-and-ireduct script through a server with an
+// event log installed (submitted while paused, interleaved by step, as in
+// RunScriptThroughServer) and returns the whole event stream.
+std::string ServerEventStream(const Dataset& d, uint64_t seed_base,
+                              int num_tenants, int workers, bool batching) {
+  obs::EventLog log;
+  obs::EventLog::Install(&log);
+  {
+    QueryServerConfig config;
+    config.workers = workers;
+    config.batching = batching;
+    config.max_queue = 64;
+    config.max_inflight_per_tenant = 8;
+    config.max_batch = 64;
+    auto server = QueryServer::Create(config);
+    EXPECT_TRUE(server.ok());
+    EXPECT_TRUE((*server)->AddDataset("census", d).ok());
+    for (int t = 0; t < num_tenants; ++t) {
+      EXPECT_TRUE((*server)
+                      ->OpenTenant("tenant" + std::to_string(t), "census",
+                                   kBudget, seed_base + t)
+                      .ok());
+    }
+    (*server)->Pause();
+    std::vector<std::future<Result<MarginalRelease>>> releases;
+    std::vector<std::future<Result<double>>> counts;
+    for (const auto& specs : {OneWaySpecs(), TwoWaySpec()}) {
+      for (int t = 0; t < num_tenants; ++t) {
+        releases.push_back((*server)->SubmitMarginals(
+            "tenant" + std::to_string(t), specs, MechanismSpec("ireduct"),
+            0.3, 5.0, 40));
+      }
+      for (int t = 0; t < num_tenants; ++t) {
+        counts.push_back((*server)->SubmitCount(
+            "tenant" + std::to_string(t), ConjunctiveQuery{{{1, 1}}}, 0.1));
+      }
+    }
+    (*server)->Resume();
+    for (auto& f : releases) EXPECT_TRUE(f.get().ok());
+    for (auto& f : counts) EXPECT_TRUE(f.get().ok());
+    (*server)->Drain();
+  }
+  obs::EventLog::Install(nullptr);
+  EXPECT_EQ(log.total_dropped(), 0u);
+  return log.SnapshotJsonl();
+}
+
+// The stream without the events that describe the batching itself
+// (server.batch) and without seq, which counts those events too.
+std::string RequestEvents(const std::string& stream) {
+  std::istringstream lines(stream);
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"type\":\"server.batch\"") != std::string::npos) {
+      continue;
+    }
+    out += line.substr(line.find(",\"type\""));
+    out.push_back('\n');
+  }
+  return out;
+}
+
+// The server's event-stream golden: the stream is byte-identical across
+// worker counts, and its request events (sessions, mechanism rounds) are
+// byte-identical with batching on and off. Only the server.batch events,
+// which record the batch widths and fused passes, depend on batching.
+TEST(QueryServerTest, EventStreamIsDeterministicAcrossWorkersAndBatching) {
+  const Dataset d = MakeDataset();
+  constexpr int kTenants = 3;
+  for (const uint64_t seed_base : {100u, 200u, 300u}) {
+    std::string batched_requests;
+    for (const bool batching : {true, false}) {
+      const std::string first =
+          ServerEventStream(d, seed_base, kTenants, 1, batching);
+      for (const char* type :
+           {"server.batch", "session.count_query",
+            "session.publish_marginals", "ireduct.round"}) {
+        EXPECT_NE(first.find("\"type\":\"" + std::string(type) + "\""),
+                  std::string::npos)
+            << type;
+      }
+      for (const int workers : {2, 8}) {
+        EXPECT_EQ(ServerEventStream(d, seed_base, kTenants, workers,
+                                    batching),
+                  first)
+            << "seed_base " << seed_base << " workers " << workers
+            << " batching " << batching;
+      }
+      if (batching) {
+        batched_requests = RequestEvents(first);
+      } else {
+        EXPECT_EQ(RequestEvents(first), batched_requests)
+            << "seed_base " << seed_base;
+      }
+    }
+  }
+}
+
+#endif  // IREDUCT_ENABLE_TRACING
 
 TEST(QueryServerTest, BatchingCoalescesIntoFusedPasses) {
   const Dataset d = MakeDataset();

@@ -51,9 +51,10 @@
 #   tools/check.sh obs        # Telemetry smoke: runs the event-log /
 #                             # exposition / run-report tests, drives
 #                             # ireduct_tool with --report-out/--events-out/
-#                             # --prom-out and validates the artifacts, and
-#                             # proves the report survives a fault-injected
-#                             # event drain and a no-tracing build
+#                             # --prom-out/--trace-out and validates the
+#                             # artifacts, and proves the report survives a
+#                             # fault-injected event drain and a no-tracing
+#                             # build
 #   tools/check.sh format     # clang-format style gate over src/tests/
 #                             # tools/bench/examples (skips locally when
 #                             # clang-format is missing; CI enforces it)
@@ -275,7 +276,21 @@ if [ "$mode" = obs ]; then
   grep -q '"overall_error"' "$out_dir/report.json"
   grep -q '^# TYPE ' "$out_dir/metrics.prom"
   grep -q '"type":"ireduct.round"' "$out_dir/events.jsonl"
-  echo "obs smoke [default]: report + events + exposition OK"
+  # The Chrome trace is an export of the same stream: it must parse, hold
+  # at least one span and one move, and carry the privacy ledger.
+  ./build/tools/ireduct_tool marginals --rows 2000 --seed 7 \
+    --epsilon 0.5 --mechanism ireduct --out-dir "$out_dir" \
+    --trace-out "$out_dir/trace.json" > /dev/null
+  python3 - "$out_dir/trace.json" <<'PY'
+import json, sys
+trace = json.load(open(sys.argv[1]))
+events = trace["traceEvents"]
+assert isinstance(events, list), "traceEvents is not an array"
+assert any(e["ph"] == "X" for e in events), "no complete span"
+assert any(e["name"] == "ireduct.move" for e in events), "no ireduct.move"
+assert "charges" in trace["otherData"]["privacy_ledger"], "no ledger"
+PY
+  echo "obs smoke [default]: report + events + exposition + trace OK"
   cmake --preset no-tracing
   cmake --build --preset no-tracing -j "$(nproc)" --target ireduct_tool
   ./build-no-tracing/tools/ireduct_tool marginals --rows 2000 --seed 7 \

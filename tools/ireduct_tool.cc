@@ -88,9 +88,10 @@
 // `--flag=value`):
 //   --log-level LEVEL   debug|info|warn|error|off (default warn, or the
 //                       IREDUCT_LOG_LEVEL environment variable)
-//   --trace-out FILE    write a Chrome trace_event JSON (open it in
-//                       chrome://tracing or ui.perfetto.dev) with one span
-//                       per iReduct iteration and the privacy ledger
+//   --trace-out FILE    write the event stream as Chrome trace_event JSON
+//                       (open it in chrome://tracing or ui.perfetto.dev):
+//                       turns on the event clock, so every round and
+//                       session request is a span; the privacy ledger is
 //                       attached under otherData.privacy_ledger
 //   --metrics-out FILE  write the process metrics snapshot JSON (counters,
 //                       gauges — including privacy.epsilon_spent —, and
@@ -569,10 +570,6 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
         }
       }
     }
-    if (auto* recorder = obs::TraceRecorder::Get()) {
-      recorder->SetOtherData("privacy_ledger",
-                             crash_safe.accountant->ExportLedgerJson());
-    }
     report->AttachLedger(*crash_safe.accountant);
   } else if (out->is_private() && out->epsilon_spent > 0) {
     // Mirror the release through an accountant so the run carries a
@@ -591,10 +588,6 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
           !s.ok()) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
         return 1;
-      }
-      if (auto* recorder = obs::TraceRecorder::Get()) {
-        recorder->SetOtherData("privacy_ledger",
-                               accountant->ExportLedgerJson());
       }
       report->AttachLedger(*accountant);
     }
@@ -948,26 +941,18 @@ int main(int argc, char** argv) {
   const std::string events_out = TakeFlag(&flags, "events-out");
   const std::string prom_out = TakeFlag(&flags, "prom-out");
   const std::string report_out = TakeFlag(&flags, "report-out");
-  // Static so instrumentation can reach it for the whole run; installed
-  // only when a trace was asked for, so tracing stays off otherwise.
-  static obs::TraceRecorder recorder;
-  if (!trace_out.empty()) {
-#if !IREDUCT_ENABLE_TRACING
-    std::fprintf(stderr,
-                 "note: built with IREDUCT_ENABLE_TRACING=OFF; the trace "
-                 "will be empty\n");
-#endif
-    obs::TraceRecorder::Install(&recorder);
-  }
-  // Same lifetime story as the trace recorder: events flow only while a
-  // log is installed, and only the edge that asked for an artifact pays.
+  // Static so instrumentation can reach it for the whole run; events flow
+  // only while a log is installed, and only the edge that asked for an
+  // artifact pays. The trace is an export of the same stream, recorded
+  // with the wall clock on so spans carry their durations.
   static obs::EventLog event_log;
-  if (!events_out.empty() || !report_out.empty()) {
+  if (!events_out.empty() || !report_out.empty() || !trace_out.empty()) {
 #if !IREDUCT_ENABLE_TRACING
     std::fprintf(stderr,
                  "note: built with IREDUCT_ENABLE_TRACING=OFF; the event "
-                 "stream will be empty\n");
+                 "stream and trace will be empty\n");
 #endif
+    if (!trace_out.empty()) event_log.set_wall_clock(true);
     obs::EventLog::Install(&event_log);
   }
   // Pre-register the full metric schema so artifacts list every metric the
@@ -1008,9 +993,19 @@ int main(int argc, char** argv) {
     }
     return true;
   };
+  // Like the report, the trace exports a copy of the stream taken before
+  // the --events-out drain.
   if (!trace_out.empty()) {
-    if (!write_json(trace_out, recorder.ToJson(), "trace")) return 1;
-    std::printf("wrote trace (%zu events) to %s\n", recorder.event_count(),
+    const std::vector<std::string> lines = event_log.SnapshotLines();
+    std::map<std::string, std::string> other_data;
+    if (report.ledger_json().has_value()) {
+      other_data.emplace("privacy_ledger", *report.ledger_json());
+    }
+    if (!write_json(trace_out, obs::ChromeTraceJson(lines, other_data),
+                    "trace")) {
+      return 1;
+    }
+    std::printf("wrote trace (%zu events) to %s\n", lines.size(),
                 trace_out.c_str());
   }
   if (!metrics_out.empty()) {
